@@ -3,16 +3,20 @@
 Times the training compute path before and after the PR-5 optimizations —
 fused autograd kernels (cross-entropy, linear, bias+activation epilogues,
 the CSR scatter-add backward of ``index_rows``), the gradient buffer
-arena, and the cross-device shared-gather — plus one end-to-end training
-step benchmark, and writes the results to ``BENCH_compute.json`` at the
-repository root.
+arena, and the cross-device shared-gather — plus the fused gather-aggregate
+(g-SpMM) op and one end-to-end training step benchmark, and writes the
+results to ``BENCH_compute.json`` at the repository root.
 
 Every "before" number is the seed implementation run in-process via the
 runtime toggles (``kernel_fusion`` / ``buffer_arena`` / ``gather_dedup``),
-so before/after deltas are honest same-machine comparisons.  Both paths
-are bit-identical by construction — ``tests/tensor/test_fused_kernels.py``
-and ``tests/engine/test_compute_equivalence.py`` pin that equivalence;
-this file only measures time.
+so before/after deltas are honest same-machine comparisons.  The
+gather-aggregate row has no toggle: its "before" is the replaced
+``index_rows`` -> ``segment_mean`` chain, frozen in this file.  Both paths
+are bit-identical by construction — ``tests/tensor/test_fused_kernels.py``,
+``tests/tensor/test_aggregate.py`` and
+``tests/engine/test_compute_equivalence.py`` pin that equivalence; this
+file only measures time.  Since the aggregation op has a single code path,
+``training_step_e2e``'s "before" run uses it too.
 
 Usage::
 
@@ -48,6 +52,7 @@ from repro.tensor import arena
 from repro.tensor import functional as F
 from repro.tensor.arena import buffer_arena
 from repro.tensor.module import Linear
+from repro.tensor.sparse import CSRMatrix, aggregate, segment_mean
 from repro.tensor.tensor import Tensor, kernel_fusion
 from repro.utils.profile import profile_totals, profiled, reset_profile
 
@@ -58,6 +63,8 @@ BASELINE_PATH = REPO_ROOT / "BENCH_compute.json"
 CE_N, CE_C = 65_536, 64
 LIN_N, LIN_IN, LIN_OUT = 65_536, 64, 64
 IDX_E, IDX_R, IDX_D = 200_000, 8_000, 64
+#: one NFP owner's layer-1 block: 128 seeds x fanout 10 x 10
+AGG_E, AGG_SRC, AGG_DST, AGG_D = 13_000, 9_000, 1_300, 128
 
 #: end-to-end training-step workload — NFP is the compute-heaviest
 #: strategy (dimension-sharded partials + scatter-reduce), so it is the
@@ -160,6 +167,39 @@ def bench_index_rows_backward(results, reps):
     _op(
         results, "index_rows_backward", t_new, t_old,
         gathered=IDX_E, rows=IDX_R, dim=IDX_D,
+    )
+
+
+def _gather_segment_mean(x, edge_src, edge_dst, num_dst):
+    """The frozen "before": the E x d message tensor, then a segment mean."""
+    return segment_mean(x.index_rows(edge_src), edge_dst, num_dst)
+
+
+def bench_gather_aggregate(results, reps):
+    # Mean aggregation with input gradient over a dst-sorted block: the
+    # gather + segment chain vs the fused op (structure build included).
+    rng = np.random.default_rng(4)
+    x_data = rng.standard_normal((AGG_SRC, AGG_D))
+    edge_src = rng.integers(0, AGG_SRC, AGG_E)
+    edge_dst = np.sort(rng.integers(0, AGG_DST, AGG_E))
+    g = rng.standard_normal((AGG_DST, AGG_D))
+
+    def before():
+        x = Tensor(x_data, requires_grad=True)
+        _gather_segment_mean(x, edge_src, edge_dst, AGG_DST).backward(g)
+
+    def after():
+        x = Tensor(x_data, requires_grad=True)
+        adj = CSRMatrix.from_edges(edge_dst, edge_src, (AGG_DST, AGG_SRC))
+        aggregate(x, adj, mean=True).backward(g)
+
+    before()
+    t_old = _best_of(before, reps, "gather_aggregate.gather_segment")
+    after()
+    t_new = _best_of(after, reps, "gather_aggregate.fused")
+    _op(
+        results, "gather_aggregate", t_new, t_old,
+        edges=AGG_E, src=AGG_SRC, dst=AGG_DST, dim=AGG_D,
     )
 
 
@@ -281,6 +321,7 @@ BENCHES = (
     bench_cross_entropy,
     bench_fused_linear,
     bench_index_rows_backward,
+    bench_gather_aggregate,
     bench_arena_backward,
     bench_shared_gather,
     bench_training_step,

@@ -43,7 +43,7 @@ from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.models.sage import SAGELayer
-from repro.tensor.sparse import segment_mean
+from repro.tensor.sparse import CSRMatrix, aggregate
 from repro.tensor.tensor import Tensor
 
 
@@ -204,6 +204,25 @@ class NFPStrategy(Strategy):
         ]
         shuffle_bytes = np.zeros((C, C))
         self_in_agg = layer.self_loop_in_aggregation
+        # One selection structure per owner over the union rows, shared by
+        # every feature shard: src_idx_in_union is injective, so gathering
+        # from z_union directly is exact (DESIGN.md §5.18).
+        structures: List[Optional[CSRMatrix]] = [None] * C
+        if ctx.numerics:
+            for o, mb in enumerate(batches):
+                if mb is None:
+                    continue
+                block = mb.blocks[0]
+                if self_in_agg:
+                    # GCN: the self loop is one more aggregation edge.
+                    es, ed = extend_with_self_edges(block)
+                else:
+                    es, ed = block.edge_src, block.edge_dst
+                structures[o] = CSRMatrix.from_edges(
+                    ed,
+                    plan.src_idx_in_union[o][es],
+                    (block.num_dst, union.size),
+                )
         x_union: Optional[np.ndarray] = None
         for c in range(C):
             lo, hi = self.shard(c)
@@ -233,20 +252,11 @@ class NFPStrategy(Strategy):
                     continue
                 block = mb.blocks[0]
                 if ctx.numerics:
-                    idx = plan.src_idx_in_union[o]
-                    z_local = z_union.index_rows(idx)
+                    neigh = aggregate(z_union, structures[o], mean=True)
                     if self_in_agg:
-                        # GCN: the self loop is one more aggregation edge.
-                        es, ed = extend_with_self_edges(block)
-                        contributions[c][o] = segment_mean(
-                            z_local.index_rows(es), ed, block.num_dst
-                        )
+                        contributions[c][o] = neigh
                     else:
-                        neigh = segment_mean(
-                            z_local.index_rows(block.edge_src),
-                            block.edge_dst,
-                            block.num_dst,
-                        )
+                        idx = plan.src_idx_in_union[o]
                         x_dst = x_shard.index_rows(idx[block.dst_in_src])
                         contributions[c][o] = neigh + (x_dst @ ws)
                 if c != o:

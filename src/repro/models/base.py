@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.sampling.block import Block, MiniBatch
 from repro.tensor.module import Module, ModuleList
+from repro.tensor.sparse import CSRMatrix, aggregate
 from repro.tensor.tensor import Tensor
 
 
@@ -115,3 +116,18 @@ def extend_with_self_edges(block: Block) -> tuple:
     edge_src = np.concatenate([block.edge_src, self_src])
     edge_dst = np.concatenate([block.edge_dst, self_dst])
     return edge_src, edge_dst
+
+
+def partial_sum_and_count(
+    z_src: Tensor, edge_src: np.ndarray, edge_dst: np.ndarray, num_dst: int
+) -> tuple:
+    """Partial neighbor aggregation over a subset of a block's edges.
+
+    Returns the per-destination sum of ``z_src[edge_src]`` and the
+    per-destination edge count.  Partials from different devices add:
+    ``mean = sum(partial_sums) / sum(counts)`` (the SNP / NFP protocol of
+    the mean-aggregating layers).
+    """
+    adj = CSRMatrix.from_edges(edge_dst, edge_src, (num_dst, z_src.shape[0]))
+    counts = np.diff(adj.mat.indptr).astype(np.float64)
+    return aggregate(z_src, adj), counts

@@ -23,12 +23,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.models.base import GNNLayer, GNNModel, extend_with_self_edges
+from repro.models.base import (
+    GNNLayer,
+    GNNModel,
+    extend_with_self_edges,
+    partial_sum_and_count,
+)
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import segment_mean, segment_sum
+from repro.tensor.sparse import CSRMatrix, aggregate
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
@@ -81,8 +86,10 @@ class GCNLayer(GNNLayer):
         edge_src, edge_dst = extend_with_self_edges(block)
         if src_index is not None:
             edge_src = src_index[edge_src]
-        msgs = h_src.index_rows(edge_src)
-        mean = segment_mean(msgs, edge_dst, block.num_dst)
+        adj = CSRMatrix.from_edges(
+            edge_dst, edge_src, (block.num_dst, h_src.shape[0])
+        )
+        mean = aggregate(h_src, adj, mean=True)
         # Single fused projection+bias+activation node (bit-identical to
         # the composed `mean @ W` -> `+ b` -> `relu` chain).
         return fused.linear(
@@ -117,10 +124,7 @@ class GCNLayer(GNNLayer):
     ) -> Tuple[Tensor, np.ndarray]:
         """Partial (sum, count) over an edge subset — identical algebra to
         :meth:`SAGELayer.partial_aggregate`."""
-        msgs = z_src.index_rows(edge_src)
-        psum = segment_sum(msgs, edge_dst, num_dst)
-        counts = np.bincount(edge_dst, minlength=num_dst).astype(np.float64)
-        return psum, counts
+        return partial_sum_and_count(z_src, edge_src, edge_dst, num_dst)
 
     def combine_partials(
         self,

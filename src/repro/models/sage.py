@@ -18,12 +18,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.models.base import GNNLayer, GNNModel
+from repro.models.base import GNNLayer, GNNModel, partial_sum_and_count
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import segment_mean, segment_sum
+from repro.tensor.sparse import CSRMatrix, aggregate
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
@@ -88,10 +88,12 @@ class SAGELayer(GNNLayer):
                 )
             edge_src = src_index[block.edge_src]
             dst_in_src = src_index[block.dst_in_src]
+        adj = CSRMatrix.from_edges(
+            block.edge_dst, edge_src, (block.num_dst, h_src.shape[0])
+        )
         # Aggregate raw inputs, then project: cheaper than projecting every
         # source when out_dim < in_dim, and exactly equal either way.
-        msgs = h_src.index_rows(edge_src)
-        neigh_mean = segment_mean(msgs, block.edge_dst, block.num_dst)
+        neigh_mean = aggregate(h_src, adj, mean=True)
         h_dst_in = h_src.index_rows(dst_in_src)
         return self.combine(neigh_mean @ self.w_neigh, h_dst_in @ self.w_self)
 
@@ -133,10 +135,7 @@ class SAGELayer(GNNLayer):
         the per-destination edge count.  Partials from different devices
         add: ``mean = sum(partial_sums) / sum(counts)``.
         """
-        msgs = z_src.index_rows(edge_src)
-        psum = segment_sum(msgs, edge_dst, num_dst)
-        counts = np.bincount(edge_dst, minlength=num_dst).astype(np.float64)
-        return psum, counts
+        return partial_sum_and_count(z_src, edge_src, edge_dst, num_dst)
 
     def finalize_sum(self, total: Tensor) -> Tensor:
         """Bias + activation over an already-summed (neigh + self) term.

@@ -15,8 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.tensor.sparse import CSRMatrix
-
 
 def _is_nondecreasing(a: np.ndarray) -> bool:
     return a.shape[0] < 2 or bool(np.all(a[1:] >= a[:-1]))
@@ -48,9 +46,8 @@ class Block:
     dst_in_src: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    # Derived structures, built on first use and reused for the lifetime of
+    # Derived structure, built on first use and reused for the lifetime of
     # the block (blocks are immutable once constructed).
-    _adj: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
     _dst_ptr: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,19 +68,6 @@ class Block:
     @property
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
-
-    def adjacency(self) -> CSRMatrix:
-        """``(num_dst, num_src)`` unweighted adjacency for SpMM kernels.
-
-        Built once per block and cached — strategies ask for the same
-        adjacency per layer per device per batch, and the CSR build is the
-        expensive part.
-        """
-        if self._adj is None:
-            self._adj = CSRMatrix.from_edges(
-                self.edge_dst, self.edge_src, (self.num_dst, self.num_src)
-            )
-        return self._adj
 
     def dst_edge_ptr(self) -> np.ndarray:
         """``(num_dst + 1,)`` CSR-style pointer into the dst-sorted edges.

@@ -8,9 +8,9 @@ substrate the strategies need:
   arrays (dense ops, broadcasting, indexing/gather, concatenation).
 * :mod:`~repro.tensor.functional` — activations, softmax/log-softmax,
   dropout, and the cross-entropy loss used for node classification.
-* :mod:`~repro.tensor.sparse` — CSR sparse-dense matmul (SpMM) and segment
-  operations (sum / mean / softmax over edge groups), the kernels a GNN layer
-  is made of.  These mirror DGL's SpMM/SDDMM kernel roles.
+* :mod:`~repro.tensor.sparse` — the fused gather-aggregate (g-SpMM) and
+  segment operations (sum / mean / softmax over edge groups), the kernels a
+  GNN layer is made of.  These mirror DGL's SpMM/SDDMM kernel roles.
 * :mod:`~repro.tensor.module` — ``Module`` / ``Parameter`` containers.
 * :mod:`~repro.tensor.optim` — SGD and Adam optimizers.
 
@@ -34,6 +34,7 @@ from repro.tensor.optim import (
     clip_grad_norm,
 )
 from repro.tensor.sparse import (
+    aggregate,
     gather_rows,
     segment_max,
     segment_mean,
@@ -63,6 +64,7 @@ __all__ = [
     "LRScheduler",
     "StepLR",
     "CosineAnnealingLR",
+    "aggregate",
     "spmm",
     "gather_rows",
     "segment_sum",

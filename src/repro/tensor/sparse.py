@@ -3,7 +3,9 @@
 A sampled GNN layer is a bipartite graph: edges ``(u, v)`` connect source
 nodes (whose embeddings are inputs) to destination nodes (whose embeddings
 are produced).  Aggregation over in-edges of each destination is expressed
-with *segment operations*: edge values grouped by destination index.
+either as one fused gather-aggregate (:func:`aggregate`, DGL's copy-u/sum
+g-SpMM) or with *segment operations*: edge values grouped by destination
+index.
 
 All kernels here are autograd-aware and fully vectorized
 (``np.add.at`` / ``np.ufunc.reduceat`` style), with exact adjoints:
@@ -12,15 +14,16 @@ All kernels here are autograd-aware and fully vectorized
 forward           backward
 ===============   =======================================================
 gather_rows       scatter-add
+aggregate (A@X)   A^T @ dY (scaled by 1/degree first when ``mean``)
 segment_sum       gather
 segment_mean      gather / count
 segment_softmax   softmax Jacobian within each segment
-spmm (CSR @ X)    CSR^T @ dY
 ===============   =======================================================
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -45,9 +48,9 @@ def _check_segments(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
 
 
 def _is_nondecreasing(segment_ids: np.ndarray) -> bool:
-    return segment_ids.shape[0] < 2 or bool(
-        np.all(segment_ids[1:] >= segment_ids[:-1])
-    )
+    return segment_ids.shape[0] < 2 or not (
+        segment_ids[1:] < segment_ids[:-1]
+    ).any()
 
 
 #: Below this many rows the plain scatter-add wins (kernel setup overhead);
@@ -74,6 +77,34 @@ def _stable_order(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
         key = segment_ids * np.int64(E) + np.arange(E, dtype=np.int64)
         return np.sort(key) % np.int64(E)
     return np.argsort(segment_ids, kind="stable")
+
+
+def _selection_csr(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    shape: tuple,
+    order: "Optional[np.ndarray]" = None,
+    dtype=np.float64,
+) -> sp.csr_matrix:
+    """0/1 CSR whose row ``r`` lists ``cols[e]`` for every ``rows[e] == r``.
+
+    Entries keep their original relative order within each row (``order``
+    is a stable argsort of ``rows``, required unless ``rows`` is already
+    nondecreasing) and duplicates stay separate entries.  scipy's
+    CSR times dense matrix accumulates each output row sequentially in
+    stored order, so ``sel @ X`` is exactly the sequential scatter-add
+    ``np.add.at(out, rows, X[cols])``.
+    """
+    n_rows, nnz = shape[0], rows.shape[0]
+    # Hand scipy the index dtype it would pick anyway: int64 indices make
+    # its constructor scan their contents to downcast, which costs more
+    # than the whole build on small blocks.
+    idx_dtype = np.int32 if max(shape[0], shape[1], nnz) < 2**31 else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    indices = (cols if order is None else cols[order]).astype(idx_dtype)
+    data = np.ones(nnz, dtype=dtype)
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _segment_sum_array(
@@ -120,12 +151,9 @@ def _segment_sum_array(
                 out[:, j] = buf
             return out.reshape(out_shape)
         order = _stable_order(segment_ids, num_segments)
-    counts = np.bincount(segment_ids, minlength=num_segments)
-    indptr = np.zeros(num_segments + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    cols = np.arange(E, dtype=np.int64) if order is None else order
-    sel = sp.csr_matrix(
-        (np.ones(E, dtype=data.dtype), cols, indptr), shape=(num_segments, E)
+    sel = _selection_csr(
+        segment_ids, np.arange(E, dtype=np.int64), (num_segments, E),
+        order=order, dtype=data.dtype,
     )
     out = sel @ data.reshape(E, -1)
     return out.reshape(out_shape)
@@ -255,26 +283,54 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
 
 
 class CSRMatrix:
-    """An immutable CSR adjacency operand for :func:`spmm`.
+    """An immutable sparse operand for :func:`aggregate` / :func:`spmm`.
 
     Wraps ``scipy.sparse.csr_matrix``; the transpose (needed only by the
     backward pass) is built lazily on first access, so forward-only and
     timing-only paths never pay for it.  The matrix itself is structural
     (not a differentiable quantity), matching how GNN frameworks treat
     sampled adjacencies.
+
+    Built with :meth:`from_edges` it is a *selection* matrix that sums in
+    the exact order of the ``index_rows`` -> ``segment_sum`` chain it
+    replaces (DESIGN.md §5.18): row ``v`` lists the sources of ``v``'s
+    edges in edge order, and ``mat_t`` row ``u`` lists the destinations of
+    ``u``'s edges in edge order.
     """
 
-    __slots__ = ("mat", "_mat_t")
+    __slots__ = ("mat", "_mat_t", "_edges")
 
-    def __init__(self, mat: sp.csr_matrix):
+    def __init__(self, mat: sp.spmatrix):
         self.mat = mat.tocsr()
         self._mat_t = None
+        # (edge_dst, edge_src) kept only while the transpose is unbuilt and
+        # the edges are not dst-sorted (see ``mat_t``).
+        self._edges = None
 
     @property
     def mat_t(self) -> sp.csr_matrix:
-        """``A^T`` in CSR form, built on first use and cached."""
+        """``A^T`` in CSR form, built on first use and cached.
+
+        For dst-sorted edges, CSR row order *is* edge order, and scipy's
+        counting-sort transpose lists each column's entries in row order —
+        so ``mat.T.tocsr()`` already keeps every source's edges in edge
+        order.  For unsorted edges (e.g. appended self-loops) row order is
+        not edge order, and the transpose is rebuilt from the edges with a
+        stable sort on the source index instead.
+        """
         if self._mat_t is None:
-            self._mat_t = self.mat.T.tocsr()
+            if self._edges is None:
+                self._mat_t = self.mat.T.tocsr()
+            else:
+                edge_dst, edge_src = self._edges
+                self._mat_t = _selection_csr(
+                    edge_src,
+                    edge_dst,
+                    self.shape[::-1],
+                    order=_stable_order(edge_src, self.shape[1]),
+                    dtype=self.mat.dtype,
+                )
+                self._edges = None
         return self._mat_t
 
     @classmethod
@@ -283,15 +339,22 @@ class CSRMatrix:
         edge_dst: np.ndarray,
         edge_src: np.ndarray,
         shape: tuple,
-        values: Optional[np.ndarray] = None,
     ) -> "CSRMatrix":
-        """Build an ``(n_dst, n_src)`` CSR matrix from edge index arrays."""
+        """The ``(n_dst, n_src)`` 0/1 selection matrix of an edge list.
+
+        Order-preserving: duplicate ``(dst, src)`` pairs stay separate
+        entries (their mass adds) and no row is re-sorted, so
+        :func:`aggregate` over it is bit-identical to gathering
+        ``x[edge_src]`` and segment-summing by ``edge_dst``.
+        """
         edge_dst = np.asarray(edge_dst, dtype=np.int64)
         edge_src = np.asarray(edge_src, dtype=np.int64)
-        if values is None:
-            values = np.ones(edge_dst.shape[0], dtype=np.float64)
-        mat = sp.csr_matrix((values, (edge_dst, edge_src)), shape=shape)
-        return cls(mat)
+        if _is_nondecreasing(edge_dst):
+            return cls(_selection_csr(edge_dst, edge_src, shape))
+        order = _stable_order(edge_dst, shape[0])
+        adj = cls(_selection_csr(edge_dst, edge_src, shape, order=order))
+        adj._edges = (edge_dst, edge_src)
+        return adj
 
     @property
     def shape(self) -> tuple:
@@ -302,20 +365,43 @@ class CSRMatrix:
         return self.mat.nnz
 
 
-def spmm(adj: CSRMatrix, x: Tensor) -> Tensor:
-    """Sparse-dense product ``adj @ x`` with autograd on the dense side.
+def aggregate(x: Tensor, structure: CSRMatrix, mean: bool = False) -> Tensor:
+    """Fused gather-aggregate ``A @ x`` (DGL's copy-u/sum g-SpMM).
 
-    Backward: ``dX = adj^T @ dY`` (exact adjoint of a linear map).
+    With ``structure = CSRMatrix.from_edges(edge_dst, edge_src, shape)``
+    this equals ``segment_sum(x.index_rows(edge_src), edge_dst, n_dst)``
+    (``segment_mean`` when ``mean``: each row scaled by 1/degree, empty
+    rows stay zero) bit for bit, forward and input gradient, without
+    building the edges x dim message tensor.  Backward is
+    ``A^T @ (g / degree)``.
     """
-    if adj.shape[1] != x.data.shape[0]:
+    n_dst, n_src = structure.shape
+    if n_src != x.data.shape[0]:
         raise ValueError(
-            f"spmm shape mismatch: adj is {adj.shape}, x has "
+            f"aggregate shape mismatch: structure is {structure.shape}, x has "
             f"{x.data.shape[0]} rows"
         )
-    out = adj.mat @ x.data
+    out_shape = (n_dst,) + x.data.shape[1:]
+    width = math.prod(x.data.shape[1:])
+    out = structure.mat @ x.data.reshape(n_src, width)
+    inv = None
+    if mean:
+        indptr = structure.mat.indptr
+        # Integer counts convert to float64 exactly: the same 1/max(c, 1)
+        # bits segment_mean computes.
+        inv = 1.0 / np.maximum(indptr[1:] - indptr[:-1], 1)[:, None]
+        out *= inv
 
     def backward_fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(adj.mat_t @ g)
+            g2 = g.reshape(n_dst, width)
+            if inv is not None:
+                g2 = g2 * inv
+            x._accumulate_owned((structure.mat_t @ g2).reshape(x.data.shape))
 
-    return Tensor._make(out, (x,), backward_fn, "spmm")
+    return Tensor._make(out.reshape(out_shape), (x,), backward_fn, "aggregate")
+
+
+def spmm(adj: CSRMatrix, x: Tensor) -> Tensor:
+    """Sparse-dense product ``adj @ x``; an alias of :func:`aggregate`."""
+    return aggregate(x, adj)

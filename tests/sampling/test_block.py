@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling import Block, MiniBatch
+from repro.tensor.sparse import CSRMatrix
 
 
 def simple_block():
@@ -45,11 +46,15 @@ class TestFromGlobalEdges:
 
 
 class TestBlockDerived:
-    def test_adjacency_shape_and_values(self):
+    def test_selection_structure_shape_and_values(self):
+        # The block's edge arrays are the operand of sparse.aggregate.
         b = simple_block()
-        adj = b.adjacency()
+        adj = CSRMatrix.from_edges(b.edge_dst, b.edge_src, (b.num_dst, b.num_src))
         assert adj.shape == (2, 5)
         assert adj.nnz == 3
+        # row v lists v's in-edge sources in edge order
+        np.testing.assert_array_equal(adj.mat.indices, b.edge_src)
+        np.testing.assert_array_equal(adj.mat.toarray().sum(axis=1), [2, 1])
 
     def test_degree_per_dst(self):
         b = simple_block()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.sampling.block import Block
+from repro.tensor.sparse import CSRMatrix
 
 
 def old_from_global_edges(edge_src_global, edge_dst_global):
@@ -83,12 +84,13 @@ def test_dst_edge_ptr_matches_naive():
     assert block.dst_edge_ptr() is ptr  # cached
 
 
-def test_adjacency_cached_per_block():
+def test_selection_structure_keeps_every_edge():
     rng = np.random.default_rng(2)
     src, dst = random_edges(rng, 120, 30, dst_sorted=False)
     block = Block.from_global_edges(src, dst)
-    adj = block.adjacency()
-    assert block.adjacency() is adj
-    assert adj.shape == (block.num_dst, block.num_src)
-    # duplicate (dst, src) pairs merge in the CSR, but mass is preserved
+    shape = (block.num_dst, block.num_src)
+    adj = CSRMatrix.from_edges(block.edge_dst, block.edge_src, shape)
+    assert adj.shape == shape
+    # duplicate (dst, src) pairs stay separate entries: one per edge
+    assert adj.nnz == block.num_edges
     assert adj.mat.sum() == block.num_edges

@@ -205,9 +205,8 @@ def test_stable_order_matches_stable_argsort(n_edges, n_seg, seed):
 def test_spmm_lazy_transpose_bitwise():
     rng = np.random.default_rng(3)
     n_dst, n_src, nnz, d = 40, 70, 300, 16
-    adj = CSRMatrix.from_edges(
-        rng.integers(0, n_dst, nnz), rng.integers(0, n_src, nnz), (n_dst, n_src)
-    )
+    dst, src = rng.integers(0, n_dst, nnz), rng.integers(0, n_src, nnz)
+    adj = CSRMatrix.from_edges(dst, src, (n_dst, n_src))
     x_data = rng.normal(size=(n_src, d))
     g = rng.normal(size=(n_dst, d))
 
@@ -218,12 +217,14 @@ def test_spmm_lazy_transpose_bitwise():
     out.backward(g)
     assert adj._mat_t is not None
 
-    # Reference: eagerly transposed operand, original op-by-op math.
-    mat_t = adj.mat.T.tocsr()
+    # Reference: the sequential gather -> scatter-add chain in edge order
+    # (the edges are unsorted, so the lazy transpose keeps edge order
+    # rather than the row order of an eager ``mat.T.tocsr()``).
     assert np.array_equal(out.data, adj.mat @ x_data)
-    assert np.array_equal(x.grad, mat_t @ g)
+    assert np.array_equal(out.data, ref_segment_sum_array(x_data[src], dst, n_dst))
+    assert np.array_equal(x.grad, ref_segment_sum_array(g[dst], src, n_src))
     # The cached transpose is exactly A^T.
-    assert (adj.mat_t != mat_t).nnz == 0
+    assert (adj.mat_t != adj.mat.T.tocsr()).nnz == 0
 
 
 def test_spmm_repeated_backward_reuses_transpose():
