@@ -15,8 +15,9 @@ gather-aggregate row has no toggle: its "before" is the replaced
 are bit-identical by construction — ``tests/tensor/test_fused_kernels.py``,
 ``tests/tensor/test_aggregate.py`` and
 ``tests/engine/test_compute_equivalence.py`` pin that equivalence; this
-file only measures time.  Since the aggregation op has a single code path,
-``training_step_e2e``'s "before" run uses it too.
+file only measures time.  The aggregation op and NFP's aggregate-first
+Execute (DESIGN.md §5.19) each have a single code path, so
+``training_step_e2e``'s "before" run uses them too.
 
 Usage::
 

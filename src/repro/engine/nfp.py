@@ -8,8 +8,9 @@ the first-layer weights.  Per batch:
    (AllBroadcast), so each device sees all subgraphs;
 2. **Execute** — device ``c`` computes, for every owner ``o``, the partial
    first-layer contribution of its dimension shard (GraphSAGE: the
-   shard's ``mean(W_n^c x^c) + W_s^c x^c``; GAT: the shard's partial
-   projection ``W^c x^c`` for every source);
+   shard's ``mean(x)^c W_n^c + x_v^c W_s^c``, aggregating the raw
+   features before projecting; GAT: the shard's partial projection
+   ``x^c W^c`` for every source);
 3. **Reshuffle** — a SparseAllreduce sums partials at each owner
    (GraphSAGE receives finished pre-activations per destination, volume
    ``2 d' C N_d``; GAT must reduce projections for *every source* before
@@ -204,37 +205,37 @@ class NFPStrategy(Strategy):
         ]
         shuffle_bytes = np.zeros((C, C))
         self_in_agg = layer.self_loop_in_aggregation
-        # One selection structure per owner over the union rows, shared by
-        # every feature shard: src_idx_in_union is injective, so gathering
-        # from z_union directly is exact (DESIGN.md §5.18).
-        structures: List[Optional[CSRMatrix]] = [None] * C
+        # Aggregate first, then project (DESIGN.md §5.19): the raw features
+        # carry no gradient, so each owner's mean over the union rows is one
+        # gradient-free aggregate shared by every shard, which then computes
+        # mean(x)[:, shard] @ W_n^c.
+        agg: List[Optional[np.ndarray]] = [None] * C
+        dst_rows: List[Optional[np.ndarray]] = [None] * C
         if ctx.numerics:
+            # Every shard holder reads the same union rows: gather the dense
+            # block once, charge each other device's (cache-dependent)
+            # simulated load below — host wall-clock only.
+            x_union, _ = read_features(ctx, 0, union)
             for o, mb in enumerate(batches):
                 if mb is None:
                     continue
                 block = mb.blocks[0]
+                idx = plan.src_idx_in_union[o]
                 if self_in_agg:
                     # GCN: the self loop is one more aggregation edge.
                     es, ed = extend_with_self_edges(block)
                 else:
                     es, ed = block.edge_src, block.edge_dst
-                structures[o] = CSRMatrix.from_edges(
-                    ed,
-                    plan.src_idx_in_union[o][es],
-                    (block.num_dst, union.size),
+                    dst_rows[o] = idx[block.dst_in_src]
+                structure = CSRMatrix.from_edges(
+                    ed, idx[es], (block.num_dst, union.size)
                 )
-        x_union: Optional[np.ndarray] = None
+                agg[o] = aggregate(Tensor(x_union), structure, mean=True).data
         for c in range(C):
             lo, hi = self.shard(c)
             if ctx.numerics:
-                # Every shard holder reads the same union rows: gather the
-                # dense block once, charge each device's (cache-dependent)
-                # simulated load as before — host wall-clock only.
-                if x_union is None:
-                    x_union, _ = read_features(ctx, c, union)
-                else:
+                if c:
                     ctx.store.charge_load(c, union, ctx.timeline)
-                x_shard = Tensor(x_union[:, lo:hi])
                 w_param = layer.weight if self_in_agg else layer.w_neigh
                 wn = w_param.index_rows(np.arange(lo, hi))
                 ws = (
@@ -242,7 +243,6 @@ class NFPStrategy(Strategy):
                     if self_in_agg
                     else layer.w_self.index_rows(np.arange(lo, hi))
                 )
-                z_union = x_shard @ wn
             else:
                 read_features(ctx, c, union)
             ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_hidden)
@@ -252,13 +252,10 @@ class NFPStrategy(Strategy):
                     continue
                 block = mb.blocks[0]
                 if ctx.numerics:
-                    neigh = aggregate(z_union, structures[o], mean=True)
-                    if self_in_agg:
-                        contributions[c][o] = neigh
-                    else:
-                        idx = plan.src_idx_in_union[o]
-                        x_dst = x_shard.index_rows(idx[block.dst_in_src])
-                        contributions[c][o] = neigh + (x_dst @ ws)
+                    neigh = Tensor(agg[o][:, lo:hi]) @ wn
+                    contributions[c][o] = neigh if self_in_agg else neigh + (
+                        Tensor(x_union[dst_rows[o], lo:hi]) @ ws
+                    )
                 if c != o:
                     shuffle_bytes[c, o] += block.num_dst * d_hidden * 8.0
                 ctx.charger.dense(

@@ -8,8 +8,10 @@ Layer function (paper Eq. 1 with mean AGG plus the usual self connection):
 
 The decomposition primitives exploit linearity of projection and mean:
 ``W_neigh * mean(x_u) = (sum_p W_neigh x_u^{(p)}) / (sum_p count_p)`` across
-partial source sets ``p`` (SNP), and the same identity across feature-
-dimension shards (NFP).  Both reconstructions are exact.
+partial source sets ``p`` (SNP), and
+``W_neigh * mean(x_u) = sum_c W_neigh^c * mean(x_u^c)`` across feature-
+dimension shards ``c`` (NFP).  Both reconstructions are exact in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ class SAGELayer(GNNLayer):
     def finalize_sum(self, total: Tensor) -> Tensor:
         """Bias + activation over an already-summed (neigh + self) term.
 
-        NFP's dimension shards each produce ``mean_c(W_n^c x^c) + W_s^c x^c``
-        (global edge counts are known on every device, so the division
-        happens before the reduce); their sum is the full pre-activation.
+        NFP's dimension shards each produce ``mean(x)^c W_n^c + x_v^c W_s^c``
+        (the mean of the raw features is taken before projecting, so the
+        division happens before the reduce); their sum is the full
+        pre-activation.
         """
         return fused.add_bias_act(
             [total], self.bias, activation="relu" if self.activation else None
