@@ -1,23 +1,23 @@
 """Compute-path benchmarks: fused kernels, buffer arena, gather dedup.
 
-Times the training compute path before and after the PR-5 optimizations —
-fused autograd kernels (cross-entropy, linear, bias+activation epilogues,
-the CSR scatter-add backward of ``index_rows``), the gradient buffer
-arena, and the cross-device shared-gather — plus the fused gather-aggregate
-(g-SpMM) op and one end-to-end training step benchmark, and writes the
-results to ``BENCH_compute.json`` at the repository root.
+Times the training compute path — fused autograd kernels (cross-entropy,
+linear, bias+activation epilogues, the CSR scatter-add backward of
+``index_rows``), the fused gather-aggregate (g-SpMM) op, a backward pass
+over the gradient buffer arena, the cross-device shared-gather staging
+path, and one end-to-end training step — and writes the results to
+``BENCH_compute.json`` at the repository root.
 
-Every "before" number is the seed implementation run in-process via the
-runtime toggles (``kernel_fusion`` / ``buffer_arena`` / ``gather_dedup``),
-so before/after deltas are honest same-machine comparisons.  The
-gather-aggregate row has no toggle: its "before" is the replaced
-``index_rows`` -> ``segment_mean`` chain, frozen in this file.  Both paths
-are bit-identical by construction — ``tests/tensor/test_fused_kernels.py``,
-``tests/tensor/test_aggregate.py`` and
-``tests/engine/test_compute_equivalence.py`` pin that equivalence; this
-file only measures time.  The aggregation op and NFP's aggregate-first
-Execute (DESIGN.md §5.19) each have a single code path, so
-``training_step_e2e``'s "before" run uses them too.
+The library has one compute path, so every "before" number is a replaced
+implementation frozen in this file: the composed cross-entropy and
+linear+ReLU chains, ``index_rows`` with an ``np.add.at`` adjoint, and the
+``index_rows`` -> ``segment_mean`` chain the aggregate op replaced.  Both
+sides of each pair run in-process, so the deltas are honest same-machine
+comparisons, and both are bit-identical by construction —
+``tests/tensor/test_fused_kernels.py``, ``tests/tensor/test_aggregate.py``
+and ``tests/engine/test_compute_equivalence.py`` pin that against the
+oracle in ``tests/reference_paths.py``; this file only measures time.
+``arena_mlp_backward``, ``shared_gather_staging`` and ``training_step_e2e``
+are single-path rows: regression canaries with no "before".
 
 Usage::
 
@@ -46,15 +46,14 @@ if "repro" not in sys.modules:
 from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
-from repro.featurestore.store import UnifiedFeatureStore, gather_dedup
+from repro.featurestore.store import UnifiedFeatureStore
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.tensor import arena
 from repro.tensor import functional as F
-from repro.tensor.arena import buffer_arena
 from repro.tensor.module import Linear
 from repro.tensor.sparse import CSRMatrix, aggregate, segment_mean
-from repro.tensor.tensor import Tensor, kernel_fusion
+from repro.tensor.tensor import Tensor
 from repro.utils.profile import profile_totals, profiled, reset_profile
 
 BASELINE_PATH = REPO_ROOT / "BENCH_compute.json"
@@ -106,23 +105,34 @@ def _op(
 
 
 # ---------------------------------------------------------------------- #
-# fused kernel microbenchmarks (before = composed path via the toggle)
+# fused kernel microbenchmarks (before = the composed chain, frozen here)
 # ---------------------------------------------------------------------- #
+def _composed_cross_entropy(logits, labels):
+    """The frozen "before": log-softmax, one-hot product, sum, scale."""
+    n = logits.shape[0]
+    one_hot = np.zeros(logits.shape)
+    one_hot[np.arange(n), labels] = 1.0
+    logp = F.log_softmax(logits, axis=-1)
+    return (logp * Tensor(one_hot)).sum() * (-1.0 / n)
+
+
 def bench_cross_entropy(results, reps):
     rng = np.random.default_rng(0)
     logits_data = rng.standard_normal((CE_N, CE_C))
     labels = rng.integers(0, CE_C, CE_N)
 
-    def step():
+    def before():
+        logits = Tensor(logits_data, requires_grad=True)
+        _composed_cross_entropy(logits, labels).backward()
+
+    def after():
         logits = Tensor(logits_data, requires_grad=True)
         F.cross_entropy(logits, labels).backward()
 
-    with kernel_fusion(False):
-        step()
-        t_old = _best_of(step, reps, "cross_entropy.composed")
-    with kernel_fusion(True):
-        step()
-        t_new = _best_of(step, reps, "cross_entropy.fused")
+    before()
+    t_old = _best_of(before, reps, "cross_entropy.composed")
+    after()
+    t_new = _best_of(after, reps, "cross_entropy.fused")
     _op(results, "fused_cross_entropy", t_new, t_old, n=CE_N, classes=CE_C)
 
 
@@ -131,40 +141,57 @@ def bench_fused_linear(results, reps):
     x_data = rng.standard_normal((LIN_N, LIN_IN))
     lin = Linear(LIN_IN, LIN_OUT)
 
-    def step():
+    def before():
+        # The frozen "before": matmul, bias add and ReLU as three nodes.
+        x = Tensor(x_data, requires_grad=True)
+        F.relu(x @ lin.weight + lin.bias).sum().backward()
+        lin.zero_grad()
+
+    def after():
         x = Tensor(x_data, requires_grad=True)
         F.relu(lin.forward(x)).sum().backward()
         lin.zero_grad()
 
-    with kernel_fusion(False):
-        step()
-        t_old = _best_of(step, reps, "linear.composed")
-    with kernel_fusion(True):
-        step()
-        t_new = _best_of(step, reps, "linear.fused")
+    before()
+    t_old = _best_of(before, reps, "linear.composed")
+    after()
+    t_new = _best_of(after, reps, "linear.fused")
     _op(
         results, "fused_linear_relu", t_new, t_old,
         n=LIN_N, in_dim=LIN_IN, out_dim=LIN_OUT,
     )
 
 
+def _index_rows_add_at(x, idx):
+    """The frozen "before": a row gather whose adjoint is ``np.add.at``."""
+
+    def backward_fn(g):
+        buf = np.zeros_like(x.data)
+        np.add.at(buf, idx, g)
+        x._accumulate(buf)
+
+    return Tensor._make(x.data[idx], (x,), backward_fn, "index_rows")
+
+
 def bench_index_rows_backward(results, reps):
-    # The scatter-add adjoint of a row gather: np.add.at (seed path) vs
-    # the selection-CSR kernel (fusion path).
+    # The scatter-add adjoint of a row gather: np.add.at vs the
+    # selection-CSR kernel ``Tensor.index_rows`` uses.
     rng = np.random.default_rng(2)
     x_data = rng.standard_normal((IDX_R, IDX_D))
     idx = rng.integers(0, IDX_R, IDX_E)
 
-    def step():
+    def before():
+        x = Tensor(x_data, requires_grad=True)
+        _index_rows_add_at(x, idx).sum().backward()
+
+    def after():
         x = Tensor(x_data, requires_grad=True)
         x.index_rows(idx).sum().backward()
 
-    with kernel_fusion(False):
-        step()
-        t_old = _best_of(step, reps, "index_rows_bwd.add_at")
-    with kernel_fusion(True):
-        step()
-        t_new = _best_of(step, reps, "index_rows_bwd.csr")
+    before()
+    t_old = _best_of(before, reps, "index_rows_bwd.add_at")
+    after()
+    t_new = _best_of(after, reps, "index_rows_bwd.csr")
     _op(
         results, "index_rows_backward", t_new, t_old,
         gathered=IDX_E, rows=IDX_R, dim=IDX_D,
@@ -206,7 +233,7 @@ def bench_gather_aggregate(results, reps):
 
 def bench_arena_backward(results, reps):
     # A small MLP's full backward with gradient buffers recycled across
-    # iterations (arena on) vs freshly allocated every iteration (arena off).
+    # iterations by the arena (single path; the meta records the hit rate).
     rng = np.random.default_rng(3)
     x_data = rng.standard_normal((8_192, 128))
     l1, l2, l3 = Linear(128, 128), Linear(128, 128), Linear(128, 8)
@@ -218,15 +245,11 @@ def bench_arena_backward(results, reps):
         for lin in (l1, l2, l3):
             lin.zero_grad()
 
-    with buffer_arena(False):
-        step()
-        t_old = _best_of(step, reps, "mlp_backward.no_arena")
-    with buffer_arena(True):
-        step()
-        t_new = _best_of(step, reps, "mlp_backward.arena")
+    step()
+    t_new = _best_of(step, reps, "mlp_backward.arena")
     pool = arena.pool().stats()
     _op(
-        results, "arena_mlp_backward", t_new, t_old,
+        results, "arena_mlp_backward", t_new,
         batch=8_192, hidden=128, pool_hit_rate=round(pool["hit_rate"], 3),
     )
 
@@ -263,9 +286,8 @@ def bench_shared_gather(results, reps):
         finally:
             store.end_shared_gather()
 
-    with gather_dedup(True):
-        staged()
-        t_new = _best_of(staged, reps, "gather.shared")
+    staged()
+    t_new = _best_of(staged, reps, "gather.shared")
     total = sum(r.size for r in requests)
     uniq = np.unique(np.concatenate(requests)).size
     _op(
@@ -279,11 +301,9 @@ def bench_shared_gather(results, reps):
 # end-to-end training step
 # ---------------------------------------------------------------------- #
 def bench_training_step(results, reps):
-    # Full ParallelTrainer epochs (sampling + loading + compute) with all
-    # compute-path optimizations on vs all off.  NFP on a 2x2 cluster:
-    # the strategy whose step time is dominated by the tensor math this
-    # PR rewrites.  Both runs produce bit-identical losses/params
-    # (tests/engine/test_compute_equivalence.py).
+    # Full ParallelTrainer epochs (sampling + loading + compute), NFP on a
+    # 2x2 cluster: the strategy whose step time is dominated by tensor
+    # math.  Single path: a regression canary for the whole step.
     ds = small_dataset(
         n=E2E["n"], feature_dim=E2E["feature_dim"],
         num_classes=E2E["num_classes"], seed=7,
@@ -306,14 +326,10 @@ def bench_training_step(results, reps):
         apt.prepare()
         apt.run_strategy("nfp", E2E["epochs"], numerics=True)
 
-    with kernel_fusion(True), buffer_arena(True), gather_dedup(True):
-        run()  # warm numpy/scipy paths and the sample cache code
-        t_new = _best_of(run, reps, "training_step.optimized")
-    with kernel_fusion(False), buffer_arena(False), gather_dedup(False):
-        run()
-        t_old = _best_of(run, reps, "training_step.seed")
+    run()  # warm numpy/scipy paths and the sample cache code
+    t_new = _best_of(run, reps, "training_step")
     _op(
-        results, "training_step_e2e", t_new, t_old,
+        results, "training_step_e2e", t_new,
         strategy="nfp", model="GraphSAGE", **E2E,
     )
 

@@ -497,6 +497,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.engine import is_layerwise_spec, parse_layerwise
+
     apt = _build(args, quiet=args.json)
     name = args.strategy
     if name == "auto":
@@ -505,9 +507,9 @@ def cmd_trace(args) -> int:
     disk = _disk_tier_summary(ctx)
     devices = _device_utilization(ctx)
     layerwise = None
-    if name.startswith("layerwise:"):
+    if is_layerwise_spec(name):
         layerwise = {
-            "layer_assignment": name[len("layerwise:"):].split(","),
+            "layer_assignment": parse_layerwise(name),
             "relayout_bytes": ctx.recorder.total_relayout_bytes(),
             "relayout_layer_bytes": {
                 str(layer): nbytes

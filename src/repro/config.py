@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.datasets import GraphDataset
+from repro.utils.validation import env_number
 
 #: Strategies the planner may choose from (paper's candidate set).
 PLAN_STRATEGIES = ("gdp", "nfp", "snp", "dnp")
@@ -129,13 +130,11 @@ class APTConfig:
     )
     #: worker processes of the process backend; 0 = auto (min(4, cores)).
     num_workers: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_NUM_WORKERS", "0"))
+        default_factory=lambda: env_number("REPRO_NUM_WORKERS", 0)
     )
     #: global batches sampled ahead of the training loop (process backend);
     #: 0 disables pipelining but keeps the worker-pool sampling path.
-    prefetch_depth: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_PREFETCH_DEPTH", "2"))
-    )
+    prefetch_depth: int = 2
     #: also prefetch ``features[input_nodes]`` in workers for strategies
     #: whose load set is the input set (GDP).  Pays off only when workers
     #: overlap a numerics-bound main process, hence off by default.
@@ -261,7 +260,7 @@ class APTConfig:
             maximum=256,
             hint="0 disables pipelining; each unit preallocates one "
             "shared-memory result slot, so large values exhaust /dev/shm — "
-            "set via --prefetch-depth or REPRO_PREFETCH_DEPTH",
+            "set via --prefetch-depth",
         )
         self.gather_prefetch = bool(self.gather_prefetch)
         if self.disk_promote_mb is not None:

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.apt_result import APTRunResult
 from repro.core.planner import PlanReport
+from repro.engine import is_layerwise_spec, parse_layerwise
 from repro.obs.drift import DriftReading
 
 #: Version of the shared report JSON envelope.  Bump when a payload field
@@ -276,10 +277,10 @@ class RunReport(ReportBase):
                     for e in self.result.epochs
                 ],
             }
-            if self.result.strategy.startswith("layerwise:"):
-                out["result"]["layer_assignment"] = self.result.strategy[
-                    len("layerwise:") :
-                ].split(",")
+            if is_layerwise_spec(self.result.strategy):
+                out["result"]["layer_assignment"] = parse_layerwise(
+                    self.result.strategy
+                )
             recorder = self.result.recorder
             if recorder is not None and hasattr(
                 recorder, "total_relayout_bytes"

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.engine.base import Strategy, sample_batches
 from repro.engine.context import ExecutionContext
-from repro.featurestore.store import gather_dedup_enabled
 from repro.parallel.backend import resolve_backend
 from repro.sampling.batching import EpochIterator
 from repro.tensor import arena
@@ -87,7 +86,7 @@ class ParallelTrainer:
         # zero-copy views of the staged buffer.  Skipped when a pipelined
         # backend already serves gathers from worker shared memory.
         shared = None
-        if ctx.numerics and gather_dedup_enabled():
+        if ctx.numerics:
             backend = resolve_backend(ctx)
             if not (
                 self.strategy.gather_prefetch

@@ -21,9 +21,7 @@ is also how :func:`ranged_gather` materializes them from the memmap.
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -33,30 +31,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.graph.datasets import GraphDataset
 from repro.tensor import arena
-
-# Cross-device gather dedup (DESIGN.md §5.12): materialize the union of one
-# global batch's per-device feature requests once, serve each device a view
-# or positional re-gather of it.  Tier accounting is untouched — only the
-# host-side row materialization is shared — so it is toggleable without any
-# effect on simulated timelines or numerics.
-_GATHER_DEDUP = os.environ.get("REPRO_GATHER_DEDUP", "1") != "0"
-
-
-def gather_dedup_enabled() -> bool:
-    """Whether shared-gather dedup is on (``REPRO_GATHER_DEDUP``, default on)."""
-    return _GATHER_DEDUP
-
-
-@contextlib.contextmanager
-def gather_dedup(enabled: bool):
-    """Force gather dedup on or off within a scope (tests / benchmarks)."""
-    global _GATHER_DEDUP
-    prev = _GATHER_DEDUP
-    _GATHER_DEDUP = bool(enabled)
-    try:
-        yield
-    finally:
-        _GATHER_DEDUP = prev
+from repro.utils.validation import env_number
 
 
 def gather_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
@@ -311,9 +286,7 @@ class UnifiedFeatureStore:
         """
         n = self.dataset.num_nodes
         if promote_bytes is None:
-            promote_bytes = (
-                float(os.environ.get("REPRO_DISK_PROMOTE_MB", "64")) * 2**20
-            )
+            promote_bytes = env_number("REPRO_DISK_PROMOTE_MB", 64.0, float) * 2**20
         row_bytes = max(self.dataset.feature_dim * 8, 1)
         self._promote_capacity = max(int(promote_bytes // row_bytes), 0)
         self._promote_every = max(int(promote_every), 1)

@@ -51,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -59,6 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.shm import create_segment, destroy_segment
+from repro.utils.validation import env_number
 
 __all__ = [
     "FaultPolicy",
@@ -76,14 +76,6 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # policy
 # ---------------------------------------------------------------------- #
-def _env_float(name: str, default: str) -> float:
-    return float(os.environ.get(name, default))
-
-
-def _env_int(name: str, default: str) -> int:
-    return int(os.environ.get(name, default))
-
-
 @dataclass
 class FaultPolicy:
     """Supervision knobs of one process-backend run (``APTConfig.fault_policy``).
@@ -95,16 +87,16 @@ class FaultPolicy:
 
     #: seconds a task may take from (re)submission to result
     task_deadline_s: float = field(
-        default_factory=lambda: _env_float("REPRO_TASK_DEADLINE_S", "30.0")
+        default_factory=lambda: env_number("REPRO_TASK_DEADLINE_S", 30.0, float)
     )
     #: resubmissions allowed per task before giving up
     max_retries: int = field(
-        default_factory=lambda: _env_int("REPRO_MAX_RETRIES", "3")
+        default_factory=lambda: env_number("REPRO_MAX_RETRIES", 3)
     )
     #: lifetime failures (timeouts + crashes + corruptions) before the
     #: backend degrades to serial sampling
     failure_budget: int = field(
-        default_factory=lambda: _env_int("REPRO_FAILURE_BUDGET", "16")
+        default_factory=lambda: env_number("REPRO_FAILURE_BUDGET", 16)
     )
     #: first retry's backoff; attempt ``n`` waits ``base * factor**n``
     backoff_base_s: float = 0.05

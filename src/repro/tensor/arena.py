@@ -22,16 +22,13 @@ The pool only ever affects *where* bytes live, never what they hold:
   after its last consumer ran (reverse-topological order guarantees this
   inside ``Tensor.backward``).
 
-The arena is process-global and toggled by :func:`buffer_arena` /
-``REPRO_BUFFER_ARENA=0``; with it off, every call site degrades to the
-exact allocation behavior the seed code had, which is how the equivalence
-tests and benchmarks produce their "before" runs.
+The arena is process-global and always on.  The equivalence tests swap
+``take`` / ``take_zeros`` / ``release`` for the plain allocator to produce
+their reference runs (``tests/reference_paths.py``).
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,37 +43,6 @@ MIN_POOL_BYTES = 2048
 DEFAULT_CAP_BYTES = 512 * 1024 * 1024
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_BUFFER_ARENA", "1") != "0"
-
-
-def _env_cap() -> int:
-    raw = os.environ.get("REPRO_ARENA_MB")
-    if raw is None:
-        return DEFAULT_CAP_BYTES
-    return max(0, int(float(raw) * 1024 * 1024))
-
-
-_ENABLED = _env_enabled()
-
-
-def arena_enabled() -> bool:
-    """Whether pooled buffers are in use (``REPRO_BUFFER_ARENA``, default on)."""
-    return _ENABLED
-
-
-@contextlib.contextmanager
-def buffer_arena(enabled: bool):
-    """Force the arena on or off within a scope (tests / benchmarks)."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENABLED = prev
-
-
 _Key = Tuple[tuple, object]
 
 
@@ -84,7 +50,7 @@ class BufferPool:
     """A free-list allocator of ndarrays keyed by ``(shape, dtype)``."""
 
     def __init__(self, cap_bytes: Optional[int] = None):
-        self.cap_bytes = _env_cap() if cap_bytes is None else int(cap_bytes)
+        self.cap_bytes = DEFAULT_CAP_BYTES if cap_bytes is None else int(cap_bytes)
         self._free: Dict[_Key, List[np.ndarray]] = {}
         #: ids of buffers currently lent out -> their pool key; release only
         #: accepts arrays found here (ownership check).
@@ -181,13 +147,11 @@ def pool() -> BufferPool:
 
 
 def take(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
-    """Pool ``take`` honoring the enable flag and the small-buffer floor.
+    """Pool ``take`` honoring the small-buffer floor.
 
-    Returns ``None`` when the arena is off or the buffer is too small to be
-    worth pooling — callers fall back to their seed-path allocation.
+    Returns ``None`` when the buffer is too small to be worth pooling —
+    callers then allocate on the normal allocator.
     """
-    if not _ENABLED:
-        return None
     dt = np.dtype(dtype)
     if int(np.prod(shape)) * dt.itemsize < MIN_POOL_BYTES:
         return None
@@ -203,6 +167,6 @@ def take_zeros(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
 
 def release(buf: Optional[np.ndarray]) -> bool:
     """Ownership-checked release; safe to call on any array (or ``None``)."""
-    if buf is None or not _ENABLED:
+    if buf is None:
         return False
     return _POOL.release(buf)

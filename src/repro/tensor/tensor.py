@@ -20,7 +20,6 @@ the training path.
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,12 +30,6 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 # Global autograd switch (see :func:`no_grad`).
 _GRAD_ENABLED = True
-
-# Global fused-kernel switch (see :func:`kernel_fusion`).  Fused ops are
-# bit-identical to their composed forms by contract (DESIGN.md §5.12 and
-# tests/tensor/test_fused_kernels.py); the flag exists so equivalence tests
-# and benchmarks can run the composed "seed" path on demand.
-_FUSION_ENABLED = os.environ.get("REPRO_KERNEL_FUSION", "1") != "0"
 
 
 @contextlib.contextmanager
@@ -54,23 +47,6 @@ def no_grad():
 def grad_enabled() -> bool:
     """Return whether autograd taping is currently enabled."""
     return _GRAD_ENABLED
-
-
-@contextlib.contextmanager
-def kernel_fusion(enabled: bool):
-    """Force fused kernels on or off within a scope (tests / benchmarks)."""
-    global _FUSION_ENABLED
-    prev = _FUSION_ENABLED
-    _FUSION_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSION_ENABLED = prev
-
-
-def fusion_enabled() -> bool:
-    """Whether fused kernels are in use (``REPRO_KERNEL_FUSION``, default on)."""
-    return _FUSION_ENABLED
 
 
 # Lazily bound to repro.tensor.sparse._segment_sum_array (importing sparse at
@@ -288,14 +264,12 @@ class Tensor:
         # gradient buffers are recycled immediately instead of living until
         # the whole tape is garbage collected.  Leaves (parameters, inputs)
         # have no closure and keep their gradients for the optimizer.
-        recycle = arena.arena_enabled()
         for node in reversed(topo):
             fn = node._backward_fn
             if fn is not None and node.grad is not None:
                 fn(node.grad)
-                if recycle:
-                    arena.release(node.grad)
-                    node.grad = None
+                arena.release(node.grad)
+                node.grad = None
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -428,17 +402,10 @@ class Tensor:
         n_rows = self.data.shape[0]
 
         def backward_fn(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if _FUSION_ENABLED:
-                # Selection-CSR scatter-add: bit-identical to the np.add.at
-                # path below, much faster on 2-D/3-D gradients.  The output
-                # is freshly built, so it can be adopted without a copy.
+            if self.requires_grad:
+                # Selection-CSR scatter-add; the output is freshly built, so
+                # it is adopted without a copy.
                 self._accumulate_owned(_scatter_add_rows(g, idx, n_rows))
-            else:
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, idx, g)
-                self._accumulate(buf)
 
         return Tensor._make(out_data, (self,), backward_fn, "index_rows")
 

@@ -6,6 +6,8 @@ propagate into vectorized NumPy code where failures are hard to attribute.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -41,3 +43,15 @@ def check_index_array(name: str, arr: np.ndarray, upper: int) -> None:
         raise IndexError(
             f"{name} entries must be in [0, {upper}), got range [{lo}, {hi}]"
         )
+
+
+def env_number(name: str, default, kind=int):
+    """Parse the numeric env var ``name`` with ``kind``; ``default`` if unset.
+
+    A malformed value raises a one-line ``ValueError`` naming the variable.
+    """
+    raw = os.environ.get(name)
+    try:
+        return default if raw is None else kind(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {kind.__name__}, got {raw!r}") from None

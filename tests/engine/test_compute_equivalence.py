@@ -1,9 +1,10 @@
 """End-to-end bit-identity of the compute-path optimizations.
 
-The PR-5 contract (DESIGN.md §5.12): kernel fusion, the gradient buffer
-arena, and cross-device gather dedup are *pure host-side* optimizations —
-with all three on, every strategy must produce exactly the losses, final
-parameters, and simulated Timeline it produces with all three off.
+The contract (DESIGN.md §5.12): kernel fusion, the gradient buffer arena,
+and cross-device gather dedup are *pure host-side* optimizations — every
+strategy must produce exactly the losses, final parameters, and simulated
+Timeline it produces on the reference paths of ``tests/reference_paths.py``
+(composed kernels, plain allocator, direct gathers).
 """
 
 import numpy as np
@@ -12,11 +13,9 @@ import pytest
 from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
-from repro.featurestore.store import gather_dedup
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
-from repro.tensor.arena import buffer_arena
-from repro.tensor.tensor import kernel_fusion
+from tests.reference_paths import reference_paths
 
 STRATEGIES = ("gdp", "nfp", "snp", "dnp")
 
@@ -26,7 +25,9 @@ def ds():
     return small_dataset(n=1500, feature_dim=16, num_classes=4, seed=7)
 
 
-def _run(ds, strategy, *, fusion, arena, dedup, backend="serial", gather=False):
+def _run(ds, strategy, *, reference=None, backend="serial", gather=False):
+    """Train ``strategy`` for two epochs, under the ``reference`` context
+    (a :func:`reference_paths` call) when given, else on the fast paths."""
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     cluster = multi_machine_cluster(
         2, 2, gpu_cache_bytes=ds.feature_bytes * 0.06
@@ -41,8 +42,12 @@ def _run(ds, strategy, *, fusion, arena, dedup, backend="serial", gather=False):
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
-    with kernel_fusion(fusion), buffer_arena(arena), gather_dedup(dedup):
+    if reference is None:
         report = apt.run_strategy(strategy, 2, numerics=True)
+    else:
+        with reference as calls:
+            report = apt.run_strategy(strategy, 2, numerics=True)
+        assert calls, "no reference path ran"
     return report, model
 
 
@@ -68,45 +73,61 @@ def _assert_identical(ra, ma, rb, mb):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_all_optimizations_bitwise_identical(ds, strategy):
-    rb, mb = _run(ds, strategy, fusion=False, arena=False, dedup=False)
-    ro, mo = _run(ds, strategy, fusion=True, arena=True, dedup=True)
+    rb, mb = _run(ds, strategy, reference=reference_paths())
+    ro, mo = _run(ds, strategy)
     _assert_identical(rb, mb, ro, mo)
 
 
 @pytest.mark.parametrize(
-    "fusion,arena,dedup",
-    [(True, False, False), (False, True, False), (False, False, True)],
+    "kernels,allocator,gather",
+    [(False, True, True), (True, False, True), (True, True, False)],
     ids=["fusion-only", "arena-only", "dedup-only"],
 )
-def test_each_optimization_alone_is_bitwise_identical(ds, fusion, arena, dedup):
-    # Isolate each toggle on the strategy with the richest read pattern.
-    rb, mb = _run(ds, "snp", fusion=False, arena=False, dedup=False)
-    ro, mo = _run(ds, "snp", fusion=fusion, arena=arena, dedup=dedup)
+def test_each_optimization_alone_is_bitwise_identical(
+    ds, kernels, allocator, gather
+):
+    # Isolate each fast path on the strategy with the richest read
+    # pattern: the other two stay on their reference paths.
+    rb, mb = _run(ds, "snp", reference=reference_paths())
+    ro, mo = _run(
+        ds,
+        "snp",
+        reference=reference_paths(
+            kernels=kernels, allocator=allocator, gather=gather
+        ),
+    )
     _assert_identical(rb, mb, ro, mo)
 
 
 def test_dedup_with_process_backend_gather_prefetch(ds):
     # GDP + process backend + gather prefetch: the trainer must skip the
     # shared gather (workers serve rows from shared memory) and still be
-    # bit-identical to the fully serial un-optimized run.
-    rb, mb = _run(ds, "gdp", fusion=False, arena=False, dedup=False)
-    ro, mo = _run(
-        ds,
-        "gdp",
-        fusion=True,
-        arena=True,
-        dedup=True,
-        backend="process",
-        gather=True,
-    )
+    # bit-identical to the fully serial reference run.
+    rb, mb = _run(ds, "gdp", reference=reference_paths())
+    ro, mo = _run(ds, "gdp", backend="process", gather=True)
     _assert_identical(rb, mb, ro, mo)
+
+
+def test_reference_paths_are_live(ds):
+    # The oracle must actually replace the fast paths a GraphSAGE run
+    # takes: the composed epilogue and loss, the np.add.at scatter and the
+    # plain allocator all run, and no shared gather is staged.
+    with reference_paths() as calls:
+        report, _ = _run(ds, "gdp")
+    for path in (
+        "add_bias_act", "cross_entropy", "scatter_add_rows", "take", "shared_gather"
+    ):
+        assert calls[path] > 0, path
+    counters = report.telemetry["counters"]
+    assert "gather.requested_rows" not in counters
+    assert counters.get("arena.hits", 0) + counters.get("arena.misses", 0) == 0
 
 
 def test_gather_and_arena_telemetry_counters(ds):
     # With dedup and the arena on, the run's telemetry summary reports
     # requested vs unique gather rows (dedup can only shrink the count)
     # and the pool's hit/miss tallies.
-    report, _ = _run(ds, "gdp", fusion=True, arena=True, dedup=True)
+    report, _ = _run(ds, "gdp")
     counters = report.telemetry["counters"]
     req = counters.get("gather.requested_rows", 0)
     uniq = counters.get("gather.unique_rows", 0)

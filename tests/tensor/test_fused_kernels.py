@@ -4,7 +4,8 @@ The fusion contract (DESIGN.md §5.12): a fused node performs the exact
 IEEE-754 operation sequence of the composed chain it replaces, and its
 parents are listed in the composed chain's DFS exploration order — so
 forward values, every parameter gradient, and every input gradient are
-bit-identical, not merely close.  All checks here use ``np.array_equal``
+bit-identical, not merely close.  The composed chains are the test oracle
+in ``tests/reference_paths.py``.  All checks here use ``np.array_equal``
 on float64 data; no tolerances anywhere.
 """
 
@@ -17,23 +18,28 @@ from repro.models.sage import SAGELayer
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, fusion_enabled, kernel_fusion
+from repro.tensor.tensor import Tensor
+from tests.reference_paths import reference_paths
 
 
 def _grads(params):
     return [None if p.grad is None else np.array(p.grad) for p in params]
 
 
+def _run_once(build, seed):
+    rng = np.random.default_rng(seed)
+    out, params = build(rng)
+    out.sum().backward() if out.data.ndim else out.backward()
+    return np.array(out.data), _grads(params)
+
+
 def _run_both(build, seed=0):
-    """Run ``build`` with fusion off then on; return (out, grads) pairs."""
-    results = []
-    for fus in (False, True):
-        rng = np.random.default_rng(seed)
-        with kernel_fusion(fus):
-            out, params = build(rng)
-            out.sum().backward() if out.data.ndim else out.backward()
-        results.append((np.array(out.data), _grads(params)))
-    return results
+    """Run ``build`` on the composed reference kernels, then on the fused
+    ones; return the two (out, grads) pairs."""
+    with reference_paths(allocator=False, gather=False) as calls:
+        reference = _run_once(build, seed)
+    assert calls, "the composed reference path never ran"
+    return [reference, _run_once(build, seed)]
 
 
 def _assert_bitwise(results):
@@ -44,13 +50,6 @@ def _assert_bitwise(results):
         assert (ga is None) == (gb is None)
         if ga is not None:
             assert np.array_equal(ga, gb)
-
-
-def test_fusion_toggle_context_manager():
-    before = fusion_enabled()
-    with kernel_fusion(not before):
-        assert fusion_enabled() is (not before)
-    assert fusion_enabled() is before
 
 
 # ---------------------------------------------------------------------- #
