@@ -7,12 +7,11 @@ at the repository root.  The two backends are bit-identical in simulation
 (losses, parameters, Timeline — pinned by ``tests/parallel``); this file
 only measures the host time the backend is allowed to change.
 
-The process backend wins on three axes:
+Both backends sample each global batch once — the *union* of its
+per-device seed chunks, each device's minibatch restricted out of it
+(DESIGN.md §5.20) — so sampling work is equal and the process backend can
+win on two axes only:
 
-* **work reduction** — one worker task samples the *union* of a global
-  batch's per-device seed chunks once and restricts each device's
-  minibatch out of it, instead of sampling every overlapping per-device
-  frontier from scratch (the dominant effect on few-core hosts);
 * **gather offload** — with ``gather_prefetch``, the dense feature
   gather for each minibatch is done in the worker against the
   shared-memory feature matrix and shipped back zero-copy;

@@ -27,7 +27,7 @@ from repro.engine.context import ExecutionContext, VolumeRecorder
 from repro.graph.datasets import GraphDataset
 from repro.models.base import GNNModel
 from repro.sampling.batching import EpochIterator
-from repro.sampling.cache import SampleCache
+from repro.sampling.cache import SampleCache, sample_chunks
 from repro.sampling.neighbor import NeighborSampler
 
 
@@ -52,19 +52,17 @@ def access_frequency_census(
     on PS); :mod:`tests.core.test_dryrun` re-checks that stability.
 
     With a ``sample_cache``, the whole-batch blocks the census walks are
-    memoized, and the per-strategy dry-runs that follow derive their
-    per-device batches from them by restriction instead of re-sampling —
-    the census itself is then the *only* sampling pass of the Plan step.
+    memoized.  Each per-strategy dry-run that follows looks up the same
+    whole-batch key (the union of its device chunks) as an exact hit and
+    restricts its per-device batches out of it, so the census is the *only*
+    sampling pass of the Plan step.
     """
     sampler = NeighborSampler(dataset.graph, fanouts, global_seed=sampler_seed)
     freq = np.zeros(dataset.num_nodes, dtype=np.int64)
     n = dataset.num_nodes
     iterator = EpochIterator(dataset.train_seeds, global_batch_size, shuffle_seed)
     for batch in iterator.epoch_batches(epoch):
-        if sample_cache is not None:
-            mb = sample_cache.sample(sampler, batch, epoch=epoch)
-        else:
-            mb = sampler.sample(batch, epoch=epoch)
+        [mb] = sample_chunks(sampler, [batch], epoch, cache=sample_cache)
         block = mb.blocks[0]
         freq += np.bincount(block.src_nodes[block.edge_src], minlength=n)
         # Destinations read their own feature too (self term / self edge).
@@ -116,8 +114,8 @@ class DryRun:
         self.disk_promote_bytes = disk_promote_bytes
         self._access_freq: Optional[np.ndarray] = None
         # One cache shared by the census and every strategy's context: the
-        # census samples each whole global batch once, and the per-strategy
-        # seed chunks are then derived by restriction (never re-sampled).
+        # census samples each whole global batch once, and every strategy's
+        # global batch is then an exact hit (never re-sampled).
         # ``reuse_samples=False`` turns reuse off — the perf-regression
         # benchmark uses it to measure the cache's wall-clock win.
         if sample_cache is None and reuse_samples:

@@ -228,16 +228,22 @@ def sample_batches(
 ) -> List[Optional[MiniBatch]]:
     """Sample per-device minibatches, charging simulated sampling time.
 
-    The host-side sampling work dispatches through the context's execution
-    backend (inline + :class:`~repro.sampling.cache.SampleCache` under the
-    serial backend, shared-memory worker pool under the process backend);
-    every backend returns bit-identical batches, and the simulated charges
-    below always run on the main process, so timelines are unaffected by
-    where (or how far ahead) the sampling actually happened.
+    Every backend samples the global batch's union once and restricts each
+    device's batch out of it (:func:`~repro.sampling.cache.sample_chunks`;
+    inline + :class:`~repro.sampling.cache.SampleCache` under the serial
+    backend, in a worker pool under the process backend).  The batches are
+    bit-identical either way, and the charges (:func:`charge_sampling`) run
+    on the main process, so timelines do not depend on where sampling ran.
     """
     batches = resolve_backend(ctx).sample_device_chunks(
         ctx, seeds_per_device, epoch
     )
+    charge_sampling(ctx, batches)
+    return batches
+
+
+def charge_sampling(ctx: ExecutionContext, batches: List[Optional[MiniBatch]]):
+    """Charge each device the sampling time of its own restricted batch."""
     for d, mb in enumerate(batches):
         if mb is None:
             continue
@@ -246,7 +252,6 @@ def sample_batches(
         else:
             ctx.charger.gpu_sampling(d, mb.total_edges())
         ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
-    return batches
 
 
 def read_features(

@@ -30,6 +30,7 @@ from repro.engine.base import Strategy, sample_batches
 from repro.engine.context import ExecutionContext
 from repro.parallel.backend import resolve_backend
 from repro.sampling.batching import EpochIterator
+from repro.sampling.cache import sample_chunks
 from repro.tensor import arena
 from repro.tensor import functional as F
 from repro.tensor.optim import Optimizer
@@ -235,20 +236,18 @@ def evaluate_accuracy(
     ds = ctx.dataset
     if seeds is None:
         seeds = np.arange(ds.num_nodes, dtype=np.int64)
-    sampler = ctx.sampler
     correct = 0
     total = 0
     with no_grad():
         for i in range(0, len(seeds), batch_size):
             chunk = np.asarray(seeds[i : i + batch_size], dtype=np.int64)
-            if ctx.sample_cache is not None:
-                # Repeated evaluations over the same seeds (accuracy curves)
-                # reuse the sampled structures; contents are bit-identical.
-                # kind="eval" charges a separate budget pool so sweeping the
-                # full node set cannot evict the training-epoch entries.
-                mb = ctx.sample_cache.sample(sampler, chunk, epoch=epoch, kind="eval")
-            else:
-                mb = sampler.sample(chunk, epoch=epoch)
+            # Repeated evaluations over the same seeds (accuracy curves)
+            # reuse the sampled structures; contents are bit-identical.
+            # kind="eval" charges a separate budget pool so sweeping the
+            # full node set cannot evict the training-epoch entries.
+            [mb] = sample_chunks(
+                ctx.sampler, [chunk], epoch, cache=ctx.sample_cache, kind="eval"
+            )
             x = Tensor(ds.features[mb.input_nodes])
             logits = ctx.model.forward(mb, x)
             pred = logits.data.argmax(axis=1)

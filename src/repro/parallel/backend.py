@@ -8,7 +8,8 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
 ``tests/parallel/test_equivalence.py``) — only host seconds differ.
 
 :class:`SerialBackend`
-    The default.  Samples inline on the main process, through the
+    The default.  Samples inline on the main process: one union pass per
+    global batch (:func:`~repro.sampling.cache.sample_chunks`), through the
     context's :class:`~repro.sampling.cache.SampleCache` when present.
 
 :class:`ProcessPoolBackend`
@@ -17,10 +18,9 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
     (attached once at pool startup).  The epoch loop is pipelined: up to
     ``prefetch_depth`` future global batches are being sampled in workers
     while the current batch runs numerics on the main process.  One task
-    covers one whole global batch — the worker samples the union of the
-    per-device seed chunks once and *restricts* each device's minibatch
-    out of it, so the backend also does strictly less sampling work than
-    the serial per-device loop (their frontiers overlap).  Results return
+    covers one whole global batch, sampled by the same union-and-restrict
+    pass as the serial backend, so the two do equal sampling work and the
+    pool's only possible gain is overlap.  Results return
     through preallocated shared-memory slots; prefetched batches bypass
     the sample cache (slot buffers are recycled, cache entries must not
     alias them).
@@ -61,6 +61,7 @@ from repro.parallel.supervisor import (
     slot_digest,
 )
 from repro.sampling.block import Block, MiniBatch
+from repro.sampling.cache import sample_chunks
 
 __all__ = [
     "ExecutionBackend",
@@ -135,21 +136,16 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Inline sampling on the main process (the default backend)."""
+    """Inline sampling on the main process (the default backend): one
+    union pass per global batch, restricted per device
+    (:func:`~repro.sampling.cache.sample_chunks`)."""
 
     name = "serial"
 
     def sample_device_chunks(self, ctx, seeds_per_device, epoch):
-        batches: List[Optional[MiniBatch]] = []
-        for seeds in seeds_per_device:
-            if seeds is None or len(seeds) == 0:
-                batches.append(None)
-                continue
-            if ctx.sample_cache is not None:
-                batches.append(ctx.sample_cache.sample(ctx.sampler, seeds, epoch=epoch))
-            else:
-                batches.append(ctx.sampler.sample(seeds, epoch=epoch))
-        return batches
+        return sample_chunks(
+            ctx.sampler, seeds_per_device, epoch, cache=ctx.sample_cache
+        )
 
 
 #: Fallback backend for contexts constructed without one.
@@ -189,8 +185,8 @@ class ProcessPoolBackend(ExecutionBackend):
         Pool size (``None`` = auto: ``min(4, cpu_count)``).
     prefetch_depth:
         Global batches sampled ahead of the training loop.  ``0`` disables
-        pipelining (each batch is still sampled in a worker — the
-        union-sampling work reduction applies, overlap does not).
+        pipelining (each batch is still sampled in a worker, without
+        overlap).
     gather_prefetch:
         Also ship ``features[input_nodes]`` per device for strategies that
         declare ``gather_prefetch`` (GDP — its load set *is* the input

@@ -1,15 +1,12 @@
 """Worker-process side of the process execution backend.
 
 Each pool worker attaches the shared task data once (at pool startup) and
-then serves sampling tasks: one task covers one *global batch* — the
-worker samples the union of the batch's per-device seed chunks in a single
-pass and derives each device's minibatch by layerwise *restriction*
-(:func:`repro.sampling.cache._restrict`), which is bit-identical to
-sampling each chunk directly because the counter-based hash sampler is
-per-node deterministic.  Sampling the union once does strictly less work
-than sampling the chunks separately (their frontiers overlap heavily),
-which is where the process backend's wall-clock win comes from even on a
-single core; on multi-core hosts the pool adds true overlap on top.
+then serves sampling tasks: one task covers one *global batch*, sampled by
+:func:`repro.sampling.cache.sample_chunks` — the union of the batch's
+per-device seed chunks in a single pass, each device's minibatch derived
+by layerwise restriction — exactly as the serial backend samples it
+inline.  The pool's only wall-clock gain over the serial backend is
+overlap with the main process, so it can pay only on multi-core hosts.
 
 Results are packed into the main-process-owned shared-memory slot named by
 the task; only small :class:`~repro.parallel.shm.ArraySpec` descriptors
@@ -40,7 +37,7 @@ import numpy as np
 
 from repro.featurestore.store import gather_rows
 from repro.parallel.shm import TaskDataDescriptor, attach_task_data, write_array
-from repro.sampling.cache import _restrict, _sorted_unique
+from repro.sampling.cache import sample_chunks
 from repro.sampling.neighbor import NeighborSampler
 
 #: Per-process state installed by :func:`init_worker`.
@@ -142,25 +139,9 @@ def sample_task(payload: Dict) -> Dict:
             os._exit(1)
         elif chaos["kind"] == "hang":
             time.sleep(float(chaos.get("seconds", 0.25)))
-    epoch = int(payload["epoch"])
-    chunks: List[Optional[np.ndarray]] = payload["chunks"]
     gather = bool(payload.get("gather", False))
     sampler = _sampler(payload["fanouts"], payload["global_seed"])
-
-    active = [(d, c) for d, c in enumerate(chunks) if c is not None and len(c)]
-    per_device: List[Optional[object]] = [None] * len(chunks)
-    if len(active) == 1:
-        d, chunk = active[0]
-        per_device[d] = sampler.sample(chunk, epoch=epoch)
-    elif active:
-        union = np.concatenate([c for _, c in active])
-        whole = sampler.sample(union, epoch=epoch)
-        for d, chunk in active:
-            mb = _restrict(whole, _sorted_unique(np.asarray(chunk, dtype=np.int64)))
-            if mb is None:  # pragma: no cover - union always covers chunks
-                mb = sampler.sample(chunk, epoch=epoch)
-            per_device[d] = mb
-
+    per_device = sample_chunks(sampler, payload["chunks"], int(payload["epoch"]))
     device_arrays = [
         None if mb is None else _batch_arrays(mb, gather) for mb in per_device
     ]

@@ -1,32 +1,27 @@
-"""Sampled-epoch reuse: a keyed, byte-bounded cache of minibatches.
+"""One sampling pass per global batch, plus a keyed minibatch cache.
 
 The counter-based hash sampler makes every sampled epoch a pure function of
-``(global_seed, epoch, fanouts, seeds)`` — yet the engine re-samples
-identical epochs from scratch once per dry-run strategy, once more for the
-access census, and again at every benchmark sweep point.  ``SampleCache``
-memoizes :class:`~repro.sampling.block.MiniBatch` objects under exactly
-that key (the shuffle seed is folded in through the seed arrays
-themselves), with an explicit byte budget and LRU eviction so memory stays
-bounded.
+``(global_seed, epoch, fanouts, seeds)``, and a per-node-deterministic
+sampler (:class:`~repro.sampling.neighbor.NeighborSampler`) draws each
+node's neighbours independently of the rest of the frontier.  So a seed
+subset's minibatch equals the layerwise *restriction* (:func:`_restrict`)
+of any superset's minibatch — a few gathers instead of a sampling pass,
+and **bit-identical** to direct sampling.  :func:`sample_chunks` uses this
+on every engine path: it samples the union of a global batch's per-device
+seed chunks once and restricts each device's batch out of it.
 
-Two lookup paths serve a request:
-
-* **exact hit** — the same unique seed set was sampled before under the
-  same ``(graph, sampler type, fanouts, global_seed, epoch)`` scope; the
-  cached batch is returned as-is.
-* **restriction** — some cached batch in the scope covers a *superset* of
-  the requested seeds and the sampler is per-node deterministic
-  (:class:`~repro.sampling.neighbor.NeighborSampler`).  Because every
-  node's draws are independent of the rest of the frontier, the subset's
-  minibatch equals the layerwise restriction of the superset batch to the
-  destinations reachable from the requested seeds — computed with a few
-  gathers instead of a full sampling pass, and **bit-identical** to direct
-  sampling (pinned by ``tests/sampling/test_cache.py``).
+``SampleCache`` memoizes :class:`~repro.sampling.block.MiniBatch` objects
+under exactly that key (the shuffle seed is folded in through the seed
+arrays themselves), with a byte budget and LRU eviction.  A request is an
+**exact hit** when the same unique seed set was sampled before in the same
+``(graph, sampler type, fanouts, global_seed, epoch)`` scope, else a
+**restriction** when a cached batch of the scope covers a superset of the
+seeds (per-node-deterministic samplers only), else a miss.
 
 The cache is a wall-clock optimization only: callers charge simulated
 sampling time from the returned batch exactly as before, and cached batches
 are bit-identical to freshly sampled ones, so simulated timelines, losses,
-and gradients are unchanged (see DESIGN.md §5.9).
+and gradients are unchanged (see DESIGN.md §5.9 and §5.20).
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,6 +149,47 @@ def _restrict(whole: MiniBatch, seeds_u: np.ndarray) -> Optional[MiniBatch]:
         frontier = src_nodes
     blocks.reverse()
     return MiniBatch(seeds=seeds_u, blocks=blocks)
+
+
+def sample_chunks(
+    sampler,
+    chunks: Sequence[Optional[np.ndarray]],
+    epoch: int,
+    cache: Optional["SampleCache"] = None,
+    kind: str = "train",
+    mode: str = "train",
+) -> List[Optional[MiniBatch]]:
+    """Per-device minibatches of one global batch, sampled in one pass.
+
+    Samples the union of the non-empty ``chunks`` once (through
+    ``cache.sample(..., kind=kind, mode=mode)`` when given; only the union
+    is looked up and inserted) and restricts each device's batch out of it,
+    bit-identical to ``sampler.sample(chunk, epoch=epoch)``.  A single
+    non-empty chunk, or a sampler that is not ``per_node_deterministic``,
+    is sampled per chunk.  ``None`` / empty chunks yield ``None``.
+    """
+
+    def draw(seeds):
+        if cache is None:
+            return sampler.sample(seeds, epoch=epoch)
+        return cache.sample(sampler, seeds, epoch=epoch, kind=kind, mode=mode)
+
+    out: List[Optional[MiniBatch]] = [None] * len(chunks)
+    active = [d for d, c in enumerate(chunks) if c is not None and len(c)]
+    if len(active) <= 1 or not getattr(sampler, "per_node_deterministic", False):
+        for d in active:
+            out[d] = draw(chunks[d])
+        return out
+    whole = draw(np.concatenate([np.asarray(chunks[d]) for d in active]))
+    for d in active:
+        out[d] = _restrict(
+            whole, _sorted_unique(np.asarray(chunks[d], dtype=np.int64))
+        )
+        if out[d] is None:
+            raise RuntimeError(
+                f"union batch does not cover device {d}'s seed chunk"
+            )
+    return out
 
 
 class SampleCache:

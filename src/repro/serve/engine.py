@@ -40,9 +40,11 @@ import numpy as np
 from repro.config import ServeConfig
 from repro.core.adapter import adapt_strategy
 from repro.core.checkpoint import Checkpoint, CheckpointManager
+from repro.engine.base import charge_sampling
 from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
+from repro.sampling.cache import sample_chunks
 from repro.serve.cache import HotnessCache
 from repro.serve.loadgen import Request
 from repro.serve.queue import BatchingPolicy, RequestBatch, RequestQueue
@@ -150,37 +152,18 @@ class ServeEngine:
     # inference
     # ------------------------------------------------------------------ #
     def _sample(self, seeds_per_device, batch_index: int):
-        """Per-device sampling with serve-scoped cache keys + time charges.
+        """:func:`repro.engine.base.sample_batches` with serve-scoped keys.
 
-        Mirrors :func:`repro.engine.base.sample_batches` but keys the
-        sample cache with ``mode="serve"`` (and the batch index as the
-        epoch) so serving lookups can never alias training epochs.
+        The sample cache is keyed with ``mode="serve"`` (and the batch
+        index as the epoch) so serving lookups can never alias training
+        epochs.
         """
         ctx = self.ctx
-        batches = []
-        for d, seeds in enumerate(seeds_per_device):
-            if seeds is None:
-                batches.append(None)
-                continue
-            if ctx.sample_cache is not None:
-                mb = ctx.sample_cache.sample(
-                    ctx.sampler,
-                    seeds,
-                    epoch=batch_index,
-                    kind="eval",
-                    mode="serve",
-                )
-            else:
-                mb = ctx.sampler.sample(seeds, epoch=batch_index)
-            batches.append(mb)
-        for d, mb in enumerate(batches):
-            if mb is None:
-                continue
-            if ctx.cpu_sampling:
-                ctx.charger.cpu_sampling(d, mb.total_edges())
-            else:
-                ctx.charger.gpu_sampling(d, mb.total_edges())
-            ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
+        batches = sample_chunks(
+            ctx.sampler, seeds_per_device, batch_index,
+            cache=ctx.sample_cache, kind="eval", mode="serve",
+        )
+        charge_sampling(ctx, batches)
         return batches
 
     def _infer(self, nodes: np.ndarray, batch_index: int) -> Dict[int, int]:
