@@ -119,6 +119,13 @@ class FaultEvent:
     # ------------------------------------------------------------------ #
     def apply(self, cluster: ClusterSpec, factor: float) -> ClusterSpec:
         """Spec with this fault applied at the (possibly jittered) factor."""
+        if self.kind in ("straggler", "host_leave") and not (
+            0 <= self.machine < cluster.num_machines
+        ):
+            raise ValueError(
+                f"{self.kind} targets machine {self.machine} but the "
+                f"cluster has {cluster.num_machines} machine(s)"
+            )
         if self.kind == "link_degrade":
             net = cluster.network
             return cluster.with_network(
@@ -138,11 +145,6 @@ class FaultEvent:
         if self.kind == "cache_shrink":
             return cluster.with_cache(cluster.gpu_cache_bytes * factor)
         if self.kind == "host_leave":
-            if not 0 <= self.machine < cluster.num_machines:
-                raise ValueError(
-                    f"host_leave targets machine {self.machine} but the "
-                    f"cluster has {cluster.num_machines} machine(s)"
-                )
             return cluster.without_machine(self.machine)
         if self.kind == "host_join":
             template = cluster.machines[0]

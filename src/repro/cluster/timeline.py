@@ -233,7 +233,7 @@ class Timeline:
         self._batches = int(state["batches"])
         self._trace_batches = [
             (float(start), np.asarray(delta, dtype=float).copy())
-            for start, delta in state.get("trace_batches", [])
+            for start, delta in state["trace_batches"]
         ]
 
     def merged(self, other: "Timeline") -> "Timeline":

@@ -12,10 +12,7 @@ Typical use::
 
 Every entry point returns a :class:`~repro.core.report.RunReport` (the
 report still delegates the legacy attributes ``chosen``, ``epochs``,
-``epoch_seconds``, ...).  The pre-redesign kwargs surface
-(``APT(ds, model, cluster, fanouts=[...], seed=...)``) is gone: passing a
-legacy kwarg raises a ``TypeError`` naming the ``APTConfig`` field to use
-instead.
+``epoch_seconds``, ...).  Task settings live on ``apt.config``.
 
 ``run_strategy`` executes a *fixed* strategy from the same initial model
 state — the benchmarks use it to produce the per-strategy epoch times the
@@ -31,8 +28,8 @@ carry over across a switch, and the engine's semantic-equivalence property
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import dataclasses
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +38,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.config import APTConfig, ElasticPolicy
 from repro.core.adapter import adapt_strategy
 from repro.core.apt_result import APTRunResult
-from repro.core.checkpoint import (
-    Checkpoint,
-    CheckpointManager,
-    recorder_state,
-    restore_recorder,
-)
+from repro.core.checkpoint import CheckpointManager, RunState
 from repro.core.costmodel import CostEstimate, CostModel
 from repro.core.dryrun import DryRun, DryRunStats
 from repro.core.planner import Planner, PlanReport
@@ -69,17 +61,33 @@ from repro.tensor.optim import Adam
 
 __all__ = ["APT", "APTRunResult"]
 
-#: legacy ``APT.__init__`` kwargs and the config fields they map to
-_LEGACY_KWARGS = (
-    "fanouts",
-    "global_batch_size",
-    "partition",
-    "seed",
-    "bandwidth_noise",
-    "cpu_sampling",
-    "compute_skew",
-    "overlap",
-)
+
+@dataclasses.dataclass
+class _Run:
+    """The live half of one run; its :class:`RunState` is the other half.
+
+    Nothing here goes into a checkpoint: these are the run's arguments and
+    the objects that cannot (or need not) be pickled.
+    """
+
+    num_epochs: int
+    numerics: bool
+    replan: bool
+    faults: Optional[FaultSchedule]
+    optimizer: Adam
+    collector: Optional[TelemetryCollector]
+    manager: Optional[CheckpointManager]
+    #: the run arguments each checkpoint manifest records
+    meta: Dict[str, Any]
+    backend: Any = None
+    trainer: Optional[ParallelTrainer] = None
+
+    def emit(self, kind: str, **data: Any) -> None:
+        if self.collector is not None:
+            self.collector.emit(kind, **data)
+
+    def cluster_at(self, base: ClusterSpec, epoch: int) -> ClusterSpec:
+        return self.faults.cluster_at(base, epoch) if self.faults else base
 
 
 class APT:
@@ -90,9 +98,7 @@ class APT:
     dataset / model / cluster:
         The GNN training task (paper "Prepare" inputs).
     config:
-        An :class:`~repro.config.APTConfig`.  The pre-redesign kwargs
-        (``fanouts=...``, ``seed=...``, ...) are rejected with a
-        ``TypeError`` pointing at the config field to set instead.
+        An :class:`~repro.config.APTConfig` (default: ``APTConfig()``).
     """
 
     def __init__(
@@ -100,8 +106,7 @@ class APT:
         dataset: GraphDataset,
         model: GNNModel,
         cluster: ClusterSpec,
-        config: Optional[Union[APTConfig, Sequence[int]]] = None,
-        **legacy: object,
+        config: Optional[APTConfig] = None,
     ):
         if config is not None and not isinstance(config, APTConfig):
             # Pre-redesign signature: 4th positional argument was `fanouts`.
@@ -109,17 +114,6 @@ class APT:
                 "APT(dataset, model, cluster, fanouts) was removed; pass "
                 "APT(dataset, model, cluster, APTConfig(fanouts=...)) instead"
             )
-        if legacy:
-            known = sorted(set(legacy) & set(_LEGACY_KWARGS))
-            unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-            if known:
-                example = ", ".join(f"{k}=..." for k in known)
-                raise TypeError(
-                    f"APT(dataset, model, cluster, {example}) was removed; "
-                    f"pass APT(dataset, model, cluster, APTConfig({example})) "
-                    "instead"
-                )
-            raise TypeError(f"unexpected APT keyword arguments: {unknown}")
         self.config = config if config is not None else APTConfig()
 
         if model.num_layers != len(self.config.fanouts):
@@ -134,9 +128,6 @@ class APT:
         self._initial_state = model.state_dict()
         self.parts: Optional[np.ndarray] = None
         self.node_machine: Optional[np.ndarray] = None
-        #: device count ``self.parts`` was computed for; a mismatch with
-        #: the epoch's effective cluster triggers the elastic transition
-        self._partitioned_devices: Optional[int] = None
         self.dryrun: Optional[DryRun] = None
         self.dryrun_stats: Dict[str, DryRunStats] = {}
         self.plan_report: Optional[PlanReport] = None
@@ -153,54 +144,6 @@ class APT:
         )
 
     # ------------------------------------------------------------------ #
-    # config delegation (kept as attributes for source compatibility)
-    # ------------------------------------------------------------------ #
-    @property
-    def fanouts(self) -> List[int]:
-        return list(self.config.fanouts)
-
-    @fanouts.setter
-    def fanouts(self, value) -> None:
-        self.config.fanouts = tuple(value)
-
-    @property
-    def global_batch_size(self) -> int:
-        return self.config.global_batch_size
-
-    @global_batch_size.setter
-    def global_batch_size(self, value) -> None:
-        self.config.global_batch_size = int(value)
-
-    @property
-    def partition(self):
-        return self.config.partition
-
-    @partition.setter
-    def partition(self, value) -> None:
-        # No eager validation: prepare() reports bad modes (legacy behavior).
-        self.config.partition = value
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def bandwidth_noise(self) -> float:
-        return self.config.bandwidth_noise
-
-    @property
-    def cpu_sampling(self) -> bool:
-        return self.config.cpu_sampling
-
-    @property
-    def compute_skew(self) -> bool:
-        return self.config.compute_skew
-
-    @property
-    def overlap(self) -> bool:
-        return self.config.overlap
-
-    # ------------------------------------------------------------------ #
     # Prepare
     # ------------------------------------------------------------------ #
     def prepare(self) -> None:
@@ -210,8 +153,8 @@ class APT:
         machine yields the feature placement every strategy shares (the
         paper partitions features across machines without overlap).
         """
+        self.dryrun = None  # re-count the access census: config may differ
         self._partition_for(self.cluster)
-        self.dryrun = self._make_dryrun(self.cluster)
 
     @staticmethod
     def _partition_weights(cluster: ClusterSpec) -> Optional[List[float]]:
@@ -253,17 +196,19 @@ class APT:
                 )
         elif partition == "metis":
             parts = metis_like_partition(
-                self.dataset.graph, cluster.num_devices, seed=self.seed,
+                self.dataset.graph, cluster.num_devices, seed=self.config.seed,
                 weights=weights,
             )
         elif partition == "streaming":
             parts = streaming_partition(
-                self.dataset.graph, cluster.num_devices, seed=self.seed,
+                self.dataset.graph, cluster.num_devices, seed=self.config.seed,
                 weights=weights,
             )
         elif partition == "random":
             parts = random_partition(
-                self.dataset.num_nodes, cluster.num_devices, seed=self.seed,
+                self.dataset.num_nodes,
+                cluster.num_devices,
+                seed=self.config.seed,
                 weights=weights,
             )
         else:
@@ -275,29 +220,40 @@ class APT:
         return parts, machine_of_device[parts]
 
     def _partition_for(self, cluster: ClusterSpec) -> None:
-        """(Re)compute the node->device partition for ``cluster``."""
+        """(Re)compute the node->device partition and dry-run for ``cluster``.
+
+        ``self.dryrun.cluster`` is then the cluster the live partition was
+        computed for.
+        """
         self.parts, self.node_machine = self._compute_partition(cluster)
-        self._partitioned_devices = cluster.num_devices
+        self.dryrun = self._make_dryrun(cluster, self.parts, self.node_machine)
 
     def _disk_promote_bytes(self) -> Optional[float]:
         mb = self.config.disk_promote_mb
         return None if mb is None else float(mb) * 2**20
 
-    def _make_dryrun(self, cluster: ClusterSpec) -> DryRun:
-        return DryRun(
+    def _make_dryrun(
+        self, cluster: ClusterSpec, parts: np.ndarray, node_machine: np.ndarray
+    ) -> DryRun:
+        dryrun = DryRun(
             self.dataset,
             cluster,
             self.model,
-            self.fanouts,
-            parts=self.parts,
-            node_machine=self.node_machine,
-            global_batch_size=self.global_batch_size,
-            sampler_seed=self.seed,
-            shuffle_seed=self.seed,
+            self.config.fanouts,
+            parts=parts,
+            node_machine=node_machine,
+            global_batch_size=self.config.global_batch_size,
+            sampler_seed=self.config.seed,
+            shuffle_seed=self.config.seed,
             sample_cache=self.sample_cache,
             reuse_samples=self.sample_cache is not None,
             disk_promote_bytes=self._disk_promote_bytes(),
         )
+        if self.dryrun is not None:
+            # The access census depends only on the sampler, not the
+            # cluster or partition — carry it instead of re-counting.
+            dryrun._access_freq = self.dryrun.access_freq
+        return dryrun
 
     def _require_prepared(self) -> None:
         if self.dryrun is None:
@@ -316,9 +272,9 @@ class APT:
         return CostModel(
             cluster,
             self.dataset.feature_dim,
-            bandwidth_noise=self.bandwidth_noise,
-            noise_seed=self.seed,
-            include_compute_skew=self.compute_skew,
+            bandwidth_noise=self.config.bandwidth_noise,
+            noise_seed=self.config.seed,
+            include_compute_skew=self.config.compute_skew,
         )
 
     def plan(
@@ -402,23 +358,7 @@ class APT:
             if sub in seen:
                 continue
             seen.add(sub)
-            parts, node_machine = self._compute_partition(sub)
-            dryrun = DryRun(
-                self.dataset,
-                sub,
-                self.model,
-                self.fanouts,
-                parts=parts,
-                node_machine=node_machine,
-                global_batch_size=self.global_batch_size,
-                sampler_seed=self.seed,
-                shuffle_seed=self.seed,
-                sample_cache=self.sample_cache,
-                reuse_samples=self.sample_cache is not None,
-                disk_promote_bytes=self._disk_promote_bytes(),
-            )
-            if self.dryrun is not None:
-                dryrun._access_freq = self.dryrun.access_freq
+            dryrun = self._make_dryrun(sub, *self._compute_partition(sub))
             cost_model = self._cost_model(sub)
             for s in strategies:
                 try:
@@ -504,11 +444,7 @@ class APT:
         self, cluster: ClusterSpec, strategies: Tuple[str, ...]
     ) -> PlanReport:
         """Fresh dry-run + profiling against the currently effective spec."""
-        dryrun = self._make_dryrun(cluster)
-        # The access census depends only on the sampler, not the hardware —
-        # reuse it instead of re-counting.
-        if self.dryrun is not None:
-            dryrun._access_freq = self.dryrun.access_freq
+        dryrun = self._make_dryrun(cluster, self.parts, self.node_machine)
         stats = {s: dryrun.run(s) for s in strategies}
         return Planner(self._cost_model(cluster)).select(stats)
 
@@ -526,16 +462,16 @@ class APT:
             self.dataset,
             cluster if cluster is not None else self.cluster,
             self.model,
-            self.fanouts,
+            self.config.fanouts,
             parts=self.parts,
             node_machine=self.node_machine,
             access_freq=self.dryrun.access_freq if self.dryrun else None,
-            global_batch_size=self.global_batch_size,
-            sampler_seed=self.seed,
-            shuffle_seed=self.seed,
-            cpu_sampling=self.cpu_sampling,
+            global_batch_size=self.config.global_batch_size,
+            sampler_seed=self.config.seed,
+            shuffle_seed=self.config.seed,
+            cpu_sampling=self.config.cpu_sampling,
             numerics=numerics,
-            overlap=self.overlap,
+            overlap=self.config.overlap,
             telemetry=telemetry,
             sample_cache=self.sample_cache,
             backend=backend,
@@ -543,18 +479,16 @@ class APT:
         )
 
     def _make_trainer(
-        self,
-        strategy_name: str,
-        cluster: ClusterSpec,
-        optimizer,
-        numerics: bool,
-        telemetry: Optional[TelemetryCollector],
-        backend=None,
+        self, strategy_name: str, cluster: ClusterSpec, run: _Run
     ) -> ParallelTrainer:
         ctx = self._build_context(
-            cluster, numerics=numerics, telemetry=telemetry, backend=backend
+            cluster,
+            numerics=run.numerics,
+            telemetry=run.collector,
+            backend=run.backend,
         )
-        return ParallelTrainer(adapt_strategy(strategy_name, ctx), ctx, optimizer)
+        strategy = adapt_strategy(strategy_name, ctx)
+        return ParallelTrainer(strategy, ctx, run.optimizer)
 
     def run_strategy(
         self,
@@ -592,16 +526,66 @@ class APT:
                 )
         self.config.validate()
         self._require_prepared()
-        return self._run_loop(
-            name,
-            num_epochs,
-            lr=lr,
-            reset_model=reset_model,
+        if reset_model and resume is None:
+            self.model.load_state_dict(self._initial_state)
+        checkpoint_dir = self.config.checkpoint_dir or resume
+        keep = self.config.checkpoint_keep
+        run = _Run(
+            num_epochs=num_epochs,
             numerics=numerics,
-            faults=faults,
             replan=replan,
-            resume=resume,
+            faults=faults,
+            optimizer=Adam(self.model.parameters(), lr=lr),
+            collector=TelemetryCollector() if self.config.telemetry else None,
+            manager=(
+                CheckpointManager(checkpoint_dir, keep=keep)
+                if checkpoint_dir is not None
+                else None
+            ),
+            meta={
+                "strategy": name,
+                "lr": float(lr),
+                "numerics": bool(numerics),
+                "replan": bool(replan),
+                "faults": faults.to_dict() if faults is not None else None,
+            },
         )
+        if resume is None:
+            state = RunState(
+                current_strategy=name,
+                estimate=self._active_estimate(name, replan),
+                detector=DriftDetector(threshold=self.config.drift_threshold),
+                partition_cluster=self.dryrun.cluster,
+            )
+        else:
+            state = self._resume(resume, run)
+
+        # One execution backend per run: the process pool (and its shared-
+        # memory graph/feature export) outlives trainer rebuilds on cluster
+        # change or strategy switch.
+        run.backend = make_backend(self.config, self.dataset)
+        try:
+            self._epoch_loop(state, run)
+        finally:
+            run.backend.close()
+
+        report = RunReport(
+            plan=self.plan_report,
+            config=self.config.to_dict(),
+            replans=state.replans,
+            faults=state.faults,
+            strategy_by_epoch=state.strategy_by_epoch,
+            result=APTRunResult(
+                strategy=state.current_strategy,
+                epochs=state.epochs,
+                recorder=run.trainer.ctx.recorder,
+                breakdown=state.breakdown,
+            ),
+        )
+        if run.collector is not None:
+            report.telemetry = run.collector.summary()
+            report.collector = run.collector
+        return report
 
     def run(
         self,
@@ -664,366 +648,188 @@ class APT:
         stats = self.dryrun.run(strategy)
         return self._cost_model(self.cluster).estimate(stats)
 
-    def _run_loop(
-        self,
-        strategy_name: str,
-        num_epochs: int,
-        *,
-        lr: float,
-        reset_model: bool,
-        numerics: bool,
-        faults: Optional[FaultSchedule],
-        replan: bool,
-        resume: Optional[str] = None,
-    ) -> RunReport:
-        """The shared epoch loop: faults in, telemetry out, drift-replans."""
-        checkpoint: Optional[Checkpoint] = None
-        resume_warnings: List[Dict[str, str]] = []
-        if resume is not None:
-            resume_mgr = CheckpointManager(
-                resume, keep=self.config.checkpoint_keep
+    def _resume(self, directory: str, run: _Run) -> RunState:
+        """Load the newest valid checkpoint and put the task back in its state.
+
+        Model, optimizer and collector come back from the snapshots; the
+        partition is recomputed for the cluster the saved run had it for,
+        without transition telemetry — that transition already happened
+        and is in the restored collector.  The loop then sees membership
+        changes exactly where the uninterrupted run saw them.
+        """
+        manager = CheckpointManager(directory, keep=self.config.checkpoint_keep)
+        checkpoint = manager.load()
+        manager.verify_config(checkpoint, self.config.to_dict())
+        done = checkpoint.epochs_completed
+        if done >= run.num_epochs:
+            raise ValueError(
+                f"checkpoint at {checkpoint.path!r} already covers {done} "
+                f"epochs; pass num_epochs > {done} to continue"
             )
-            checkpoint = resume_mgr.load()
-            resume_warnings = list(resume_mgr.warnings)
-            resume_mgr.verify_config(checkpoint, self.config.to_dict())
-            if checkpoint.epochs_completed >= num_epochs:
-                raise ValueError(
-                    f"checkpoint at {checkpoint.path!r} already covers "
-                    f"{checkpoint.epochs_completed} epochs; pass "
-                    f"num_epochs > {checkpoint.epochs_completed} to continue"
-                )
-        if reset_model and checkpoint is None:
-            self.model.load_state_dict(self._initial_state)
-        collector = TelemetryCollector() if self.config.telemetry else None
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        detector = DriftDetector(threshold=self.config.drift_threshold)
+        state = checkpoint.state
+        self.model.load_state_dict(state.model)
+        run.optimizer.load_state_dict(state.optimizer)
+        if run.collector is not None and state.collector is not None:
+            run.collector = state.collector
+        state.model = state.optimizer = state.collector = None
+        if state.partition_cluster != self.dryrun.cluster:
+            self._partition_for(state.partition_cluster)
+        for warning in manager.warnings:
+            # A newer checkpoint was corrupt; we fell back to an older
+            # valid one instead of crashing.
+            run.emit("checkpoint_corrupt", epoch=done, **warning)
+        run.emit("resume", epoch=done, path=checkpoint.path)
+        return state
 
-        start_epoch = 0
-        loop_state: Dict[str, object] = {}
-        if checkpoint is None:
-            estimate = self._active_estimate(strategy_name, replan)
-        else:
-            state = checkpoint.state
-            self.model.load_state_dict(state["model"])
-            optimizer.load_state_dict(state["optimizer"])
-            if collector is not None and state.get("collector") is not None:
-                collector = state["collector"]
-            detector.history = list(state["detector_history"])
-            estimate = state["estimate"]
-            start_epoch = checkpoint.epochs_completed
-            loop_state = dict(
-                epochs=list(state["epochs"]),
-                breakdown=dict(state["breakdown"]),
-                current_strategy=state["current_strategy"],
-                cooldown=int(state["cooldown"]),
-                restore=state,
-            )
-            if collector is not None:
-                for warning in resume_warnings:
-                    # A newer checkpoint was corrupt; we fell back to an
-                    # older valid one instead of crashing.
-                    collector.emit(
-                        "checkpoint_corrupt", epoch=start_epoch, **warning
-                    )
-                collector.emit(
-                    "resume", epoch=start_epoch, path=checkpoint.path
-                )
-
-        report = RunReport(plan=self.plan_report, config=self.config.to_dict())
-        if checkpoint is not None:
-            report.replans = list(checkpoint.state["replans"])
-            report.faults = list(checkpoint.state["faults"])
-            report.strategy_by_epoch = list(
-                checkpoint.state["strategy_by_epoch"]
-            )
-
-        manager: Optional[CheckpointManager] = None
-        checkpoint_dir = self.config.checkpoint_dir or resume
-        if checkpoint_dir is not None:
-            manager = CheckpointManager(
-                checkpoint_dir, keep=self.config.checkpoint_keep
-            )
-        run_meta = {
-            "strategy": strategy_name,
-            "lr": float(lr),
-            "numerics": bool(numerics),
-            "replan": bool(replan),
-            "faults": faults.to_dict() if faults is not None else None,
-        }
-
-        # One execution backend per run: the process pool (and its shared-
-        # memory graph/feature export) outlives trainer rebuilds on cluster
-        # change or strategy switch.
-        backend = make_backend(self.config, self.dataset)
-        try:
-            epochs, breakdown, current_strategy, trainer = self._epoch_loop(
-                strategy_name=strategy_name,
-                num_epochs=num_epochs,
-                numerics=numerics,
-                faults=faults,
-                replan=replan,
-                collector=collector,
-                optimizer=optimizer,
-                detector=detector,
-                estimate=estimate,
-                report=report,
-                backend=backend,
-                start_epoch=start_epoch,
-                manager=manager,
-                run_meta=run_meta,
-                **loop_state,
-            )
-        finally:
-            backend.close()
-
-        report.result = APTRunResult(
-            strategy=current_strategy,
-            epochs=epochs,
-            recorder=trainer.ctx.recorder,
-            breakdown=breakdown,
-        )
-        if collector is not None:
-            report.telemetry = collector.summary()
-            report.collector = collector
-        return report
-
-    def _epoch_loop(
-        self,
-        *,
-        strategy_name: str,
-        num_epochs: int,
-        numerics: bool,
-        faults: Optional[FaultSchedule],
-        replan: bool,
-        collector: Optional[TelemetryCollector],
-        optimizer,
-        detector: DriftDetector,
-        estimate: Optional[CostEstimate],
-        report: RunReport,
-        backend,
-        start_epoch: int = 0,
-        epochs: Optional[list] = None,
-        breakdown: Optional[Dict[str, float]] = None,
-        current_strategy: Optional[str] = None,
-        cooldown: int = 0,
-        restore: Optional[Dict[str, object]] = None,
-        manager: Optional[CheckpointManager] = None,
-        run_meta: Optional[Dict[str, object]] = None,
-    ):
-        base_cluster = self.cluster
-        current_cluster: Optional[ClusterSpec] = None
-        current_strategy = current_strategy or strategy_name
-        trainer: Optional[ParallelTrainer] = None
-        epochs = epochs if epochs is not None else []
-        breakdown = breakdown if breakdown is not None else {}
-
-        for epoch in range(start_epoch, num_epochs):
-            cluster_e = (
-                faults.cluster_at(base_cluster, epoch) if faults else base_cluster
-            )
-            if faults is not None:
-                for event in faults.events_at(epoch):
-                    record = event.to_dict()
-                    report.faults.append({"epoch": epoch, "fault": record})
-                    if collector is not None:
-                        collector.emit("fault", epoch=epoch, fault=record)
-            if cluster_e.num_devices != self._partitioned_devices:
+    def _epoch_loop(self, state: RunState, run: _Run) -> None:
+        for epoch in range(len(state.epochs), run.num_epochs):
+            cluster = run.cluster_at(self.cluster, epoch)
+            for event in run.faults.events_at(epoch) if run.faults else ():
+                record = event.to_dict()
+                state.faults.append({"epoch": epoch, "fault": record})
+                run.emit("fault", epoch=epoch, fault=record)
+            if cluster.num_devices != state.partition_cluster.num_devices:
                 # Membership changed (host_leave/host_join/recover): the
-                # node->device partition is stale.  Quiesce, checkpoint,
-                # re-partition, and possibly re-plan before the trainer
-                # rebuild below picks up the new device set.
-                current_strategy, estimate, cooldown = self._elastic_transition(
-                    cluster_e=cluster_e,
-                    epoch=epoch,
-                    events=[
-                        e
-                        for e in (faults.events_at(epoch) if faults else [])
-                        if e.kind in MEMBERSHIP_KINDS
-                    ],
-                    replan=replan,
-                    collector=collector,
-                    optimizer=optimizer,
-                    detector=detector,
-                    trainer=trainer,
-                    current_cluster=current_cluster,
-                    current_strategy=current_strategy,
-                    estimate=estimate,
-                    cooldown=cooldown,
-                    epochs=epochs,
-                    breakdown=breakdown,
-                    report=report,
-                    backend=backend,
-                    manager=manager,
-                    run_meta=run_meta,
-                )
-            if trainer is None or cluster_e != current_cluster:
-                # (Re)build the engine on the currently effective hardware;
-                # model and optimizer state carry over untouched.
-                current_cluster = cluster_e
-                trainer = self._make_trainer(
-                    current_strategy,
-                    current_cluster,
-                    optimizer,
-                    numerics,
-                    collector,
-                    backend=backend,
-                )
-            if restore is not None:
-                # First trainer of a resumed run: continue the saved ledgers
-                # iff the uninterrupted run would have kept its trainer —
-                # i.e. the effective cluster is the one the checkpoint saw.
-                # On cluster change the uninterrupted run rebuilds with
-                # fresh ledgers, and so did we.
-                if restore["cluster"] == cluster_e:
-                    trainer.ctx.timeline.load_state_dict(restore["timeline"])
-                    restore_recorder(trainer.ctx.recorder, restore["recorder"])
-                restore = None
+                # node->device partition is stale.
+                self._elastic_transition(state, run, cluster, epoch)
+            if run.trainer is None or cluster != state.trainer_cluster:
+                self._build_trainer(state, run, cluster)
 
-            result = trainer.train_epoch(epoch)
-            epochs.append(result)
-            report.strategy_by_epoch.append(current_strategy)
+            result = run.trainer.train_epoch(epoch)
+            state.epochs.append(result)
+            state.strategy_by_epoch.append(state.current_strategy)
             for key, value in result.breakdown.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
+                state.breakdown[key] = state.breakdown.get(key, 0.0) + value
 
-            if replan and estimate is not None and epoch < num_epochs - 1:
-                if cooldown > 0:
-                    cooldown -= 1
+            last = epoch == run.num_epochs - 1
+            if run.replan and state.estimate is not None and not last:
+                if state.cooldown > 0:
+                    state.cooldown -= 1
                 else:
-                    reading = detector.reading(epoch, estimate, result.phases)
+                    reading = state.detector.reading(
+                        epoch, state.estimate, result.phases
+                    )
                     if reading.exceeded:
-                        estimate, current_strategy, trainer, cooldown = (
-                            self._apply_replan(
-                                reading=reading,
-                                epoch=epoch,
-                                current_cluster=current_cluster,
-                                current_strategy=current_strategy,
-                                trainer=trainer,
-                                optimizer=optimizer,
-                                numerics=numerics,
-                                collector=collector,
-                                report=report,
-                                backend=backend,
-                            )
-                        )
+                        self._apply_replan(state, run, reading, epoch)
 
-            if manager is not None and (
-                (epoch + 1) % self.config.checkpoint_every == 0
-                or epoch == num_epochs - 1
-            ):
-                path = manager.save(
-                    epochs_completed=epoch + 1,
-                    config_dict=self.config.to_dict(),
-                    run_args=run_meta or {},
-                    state=self._checkpoint_state(
-                        optimizer=optimizer,
-                        collector=collector,
-                        detector=detector,
-                        estimate=estimate,
-                        epochs=epochs,
-                        breakdown=breakdown,
-                        current_strategy=current_strategy,
-                        cooldown=cooldown,
-                        report=report,
-                        cluster=current_cluster,
-                        trainer=trainer,
-                    ),
-                )
-                if collector is not None:
-                    collector.emit("checkpoint", epoch=epoch, path=path)
+            if run.manager and self._checkpoint_due(state, run, epoch):
+                self._save(state, run, epoch)
 
-        return epochs, breakdown, current_strategy, trainer
+    def _build_trainer(
+        self, state: RunState, run: _Run, cluster: ClusterSpec
+    ) -> None:
+        """(Re)build the engine on the currently effective hardware.
+
+        Model and optimizer state carry over untouched.  The first trainer
+        of a resumed run continues the saved ledgers iff the uninterrupted
+        run would have kept its trainer — i.e. the effective cluster is the
+        one the checkpoint saw; on cluster change the uninterrupted run
+        rebuilt with fresh ledgers, and so does the resumed one.
+        """
+        same_cluster = cluster == state.trainer_cluster
+        state.trainer_cluster = cluster
+        run.trainer = self._make_trainer(state.current_strategy, cluster, run)
+        if state.timeline is not None:
+            if same_cluster:
+                run.trainer.ctx.timeline.load_state_dict(state.timeline)
+                # In place: strategies hold the recorder via their context.
+                vars(run.trainer.ctx.recorder).update(vars(state.recorder))
+            state.timeline = state.recorder = None
+
+    def _checkpoint_due(
+        self, state: RunState, run: _Run, epoch: int
+    ) -> bool:
+        """Whether to checkpoint the boundary after ``epoch``.
+
+        By cadence, at the end of the run, and before a membership change:
+        the epoch boundary ahead of an elastic transition is always
+        checkpointed (``elastic_policy.checkpoint_on_change``), so a save
+        never sees a half-applied epoch and resuming from it replays the
+        transition exactly (DESIGN.md §5.16).
+        """
+        done = epoch + 1
+        if done % self.config.checkpoint_every == 0 or done == run.num_epochs:
+            return True
+        upcoming = run.cluster_at(self.cluster, done)
+        return (
+            self._elastic_policy().checkpoint_on_change
+            and upcoming.num_devices != state.partition_cluster.num_devices
+        )
+
+    def _save(self, state: RunState, run: _Run, epoch: int) -> None:
+        """Checkpoint the boundary after ``epoch`` (DESIGN.md §5.11)."""
+        path = run.manager.save(
+            epochs_completed=epoch + 1,
+            config_dict=self.config.to_dict(),
+            run_args=run.meta,
+            state=dataclasses.replace(
+                state,
+                model=self.model.state_dict(),
+                optimizer=run.optimizer.state_dict(),
+                timeline=run.trainer.ctx.timeline.state_dict(),
+                recorder=run.trainer.ctx.recorder,
+                collector=run.collector,
+            ),
+        )
+        run.emit("checkpoint", epoch=epoch, path=path)
 
     def _apply_replan(
-        self,
-        *,
-        reading,
-        epoch: int,
-        current_cluster: ClusterSpec,
-        current_strategy: str,
-        trainer: ParallelTrainer,
-        optimizer,
-        numerics: bool,
-        collector: Optional[TelemetryCollector],
-        report: RunReport,
-        backend,
-    ):
+        self, state: RunState, run: _Run, reading, epoch: int
+    ) -> None:
         """Re-profile, re-plan, and hot-switch if the planner says so."""
-        new_plan = self._replan(current_cluster, self.config.strategies)
-        event = ReplanEvent(
-            epoch=epoch,
-            drift=reading,
-            old_strategy=current_strategy,
-            new_strategy=new_plan.chosen,
-            estimates={n: e.total for n, e in new_plan.estimates.items()},
-        )
-        report.replans.append(event)
-        estimate = new_plan.estimates[new_plan.chosen]
-        cooldown = self.config.replan_cooldown
-        if collector is not None:
-            collector.emit(
-                "replan",
-                sim_time=trainer.ctx.timeline.wall_seconds,
+        cluster = state.trainer_cluster
+        new_plan = self._replan(cluster, self.config.strategies)
+        state.replans.append(
+            ReplanEvent(
                 epoch=epoch,
-                drift=reading.max_abs,
-                worst_term=reading.worst_term,
-                chosen=new_plan.chosen,
+                drift=reading,
+                old_strategy=state.current_strategy,
+                new_strategy=new_plan.chosen,
+                estimates={n: e.total for n, e in new_plan.estimates.items()},
             )
-        if new_plan.chosen != current_strategy:
-            if collector is not None:
-                collector.emit(
-                    "switch",
-                    sim_time=trainer.ctx.timeline.wall_seconds,
-                    epoch=epoch,
-                    old=current_strategy,
-                    new=new_plan.chosen,
-                )
-            current_strategy = new_plan.chosen
-            trainer = self._make_trainer(
-                current_strategy,
-                current_cluster,
-                optimizer,
-                numerics,
-                collector,
-                backend=backend,
+        )
+        state.estimate = new_plan.estimates[new_plan.chosen]
+        state.cooldown = self.config.replan_cooldown
+        sim_time = run.trainer.ctx.timeline.wall_seconds
+        run.emit(
+            "replan",
+            sim_time=sim_time,
+            epoch=epoch,
+            drift=reading.max_abs,
+            worst_term=reading.worst_term,
+            chosen=new_plan.chosen,
+        )
+        if new_plan.chosen != state.current_strategy:
+            run.emit(
+                "switch",
+                sim_time=sim_time,
+                epoch=epoch,
+                old=state.current_strategy,
+                new=new_plan.chosen,
             )
-        return estimate, current_strategy, trainer, cooldown
+            state.current_strategy = new_plan.chosen
+            run.trainer = self._make_trainer(new_plan.chosen, cluster, run)
+
+    def _elastic_policy(self) -> ElasticPolicy:
+        return self.config.elastic_policy or ElasticPolicy()
 
     def _elastic_transition(
-        self,
-        *,
-        cluster_e: ClusterSpec,
-        epoch: int,
-        events: list,
-        replan: bool,
-        collector: Optional[TelemetryCollector],
-        optimizer,
-        detector: DriftDetector,
-        trainer: Optional[ParallelTrainer],
-        current_cluster: Optional[ClusterSpec],
-        current_strategy: str,
-        estimate: Optional[CostEstimate],
-        cooldown: int,
-        epochs: list,
-        breakdown: Dict[str, float],
-        report: RunReport,
-        backend,
-        manager: Optional[CheckpointManager],
-        run_meta: Optional[Dict[str, object]],
-    ):
+        self, state: RunState, run: _Run, cluster: ClusterSpec, epoch: int
+    ) -> None:
         """Survive a cluster-membership change (DESIGN.md §5.16).
 
-        Order matters: (1) quiesce the backend so no in-flight task split
-        for the old device set lands later, (2) take (or reuse) an atomic
-        checkpoint at this epoch boundary, (3) re-partition for the new
-        device set, (4) re-plan and hot-switch if the ranking changed.
-        The caller's cluster-change path then rebuilds the trainer with
-        fresh ledgers — exactly what a fresh run on the post-change
-        cluster does when resumed from the same checkpoint, which is why
-        the tail is bit-identical to that oracle.
+        The epoch boundary was already checkpointed (see
+        :meth:`_checkpoint_due`).  Order matters: (1) quiesce the backend so
+        no in-flight task split for the old device set lands later, (2)
+        re-partition for the new device set, (3) re-plan and hot-switch if
+        the ranking changed.  The caller's cluster-change path then rebuilds
+        the trainer with fresh ledgers — exactly what a fresh run on the
+        post-change cluster does when resumed from the same checkpoint,
+        which is why the tail is bit-identical to that oracle.
         """
-        policy = self.config.elastic_policy or ElasticPolicy()
-        before = self._partitioned_devices
-        after = cluster_e.num_devices
+        policy = self._elastic_policy()
+        before = state.partition_cluster.num_devices
+        after = cluster.num_devices
         if not policy.enabled:
             raise RuntimeError(
                 f"cluster membership changed at epoch {epoch} "
@@ -1037,14 +843,14 @@ class APT:
                 f"device(s), below elastic_policy.min_devices="
                 f"{policy.min_devices}"
             )
-        for event in events:
-            if collector is not None:
+        for event in run.faults.events_at(epoch) if run.faults else ():
+            if event.kind in MEMBERSHIP_KINDS:
                 extra = (
                     {"device_class": event.device_class}
                     if event.device_class is not None
                     else {}
                 )
-                collector.emit(
+                run.emit(
                     event.kind,
                     epoch=epoch,
                     machine=event.machine,
@@ -1055,120 +861,38 @@ class APT:
         # (1) quiesce: settle in-flight slots (release or quarantine, never
         # lose), drop the prefetched schedule — its seed chunks were split
         # for the old device set.
-        backend.quiesce()
-        # (2) checkpoint at this epoch boundary, unless the regular cadence
-        # just wrote one covering exactly `epoch` epochs.
-        if (
-            trainer is not None
-            and manager is not None
-            and policy.checkpoint_on_change
-        ):
-            covered = -1
-            latest = manager.latest()
-            if latest is not None:
-                try:
-                    covered = int(os.path.basename(latest)[len("epoch-"):])
-                except ValueError:
-                    covered = -1
-            if covered != epoch:
-                path = manager.save(
-                    epochs_completed=epoch,
-                    config_dict=self.config.to_dict(),
-                    run_args=run_meta or {},
-                    state=self._checkpoint_state(
-                        optimizer=optimizer,
-                        collector=collector,
-                        detector=detector,
-                        estimate=estimate,
-                        epochs=epochs,
-                        breakdown=breakdown,
-                        current_strategy=current_strategy,
-                        cooldown=cooldown,
-                        report=report,
-                        cluster=current_cluster,
-                        trainer=trainer,
-                    ),
-                )
-                if collector is not None:
-                    collector.emit("checkpoint", epoch=epoch, path=path)
-        # (3) re-partition for the surviving device set.  The shm export
+        run.backend.quiesce()
+        # (2) re-partition for the surviving device set.  The shm export
         # needs no rebuild: it carries the graph and features only, and
         # per-device seed chunks ride in each task payload.
-        self._partition_for(cluster_e)
-        fresh = self._make_dryrun(cluster_e)
-        if self.dryrun is not None:
-            # The access census depends only on the sampler, not the
-            # cluster — carry it instead of re-counting.
-            fresh._access_freq = self.dryrun.access_freq
-        self.dryrun = fresh
-        if collector is not None:
-            collector.emit(
-                "repartition",
-                epoch=epoch,
-                devices_before=before,
-                devices_after=after,
-                mode=(
-                    "explicit"
-                    if isinstance(self.config.partition, np.ndarray)
-                    else str(self.config.partition)
-                ),
-            )
-        # (4) re-plan against the new cluster; hot-switch when the ranking
+        self._partition_for(cluster)
+        state.partition_cluster = cluster
+        run.emit(
+            "repartition",
+            epoch=epoch,
+            devices_before=before,
+            devices_after=after,
+            mode=(
+                "explicit"
+                if isinstance(self.config.partition, np.ndarray)
+                else str(self.config.partition)
+            ),
+        )
+        # (3) re-plan against the new cluster; hot-switch when the ranking
         # changed.  Gated on the run's own replan flag so fixed-strategy
         # runs stay on their strategy (they still survive the change).
-        if replan and policy.replan:
-            new_plan = self._replan(cluster_e, self.config.strategies)
-            if collector is not None:
-                collector.emit(
-                    "elastic_replan",
-                    epoch=epoch,
-                    old=current_strategy,
-                    chosen=new_plan.chosen,
-                    switched=new_plan.chosen != current_strategy,
-                )
-            current_strategy = new_plan.chosen
-            estimate = new_plan.estimates[new_plan.chosen]
-            cooldown = self.config.replan_cooldown
-        return current_strategy, estimate, cooldown
-
-    def _checkpoint_state(
-        self,
-        *,
-        optimizer,
-        collector: Optional[TelemetryCollector],
-        detector: DriftDetector,
-        estimate: Optional[CostEstimate],
-        epochs: list,
-        breakdown: Dict[str, float],
-        current_strategy: str,
-        cooldown: int,
-        report: RunReport,
-        cluster: ClusterSpec,
-        trainer: ParallelTrainer,
-    ) -> Dict[str, object]:
-        """Everything :meth:`_run_loop` needs to continue bit-identically."""
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": optimizer.state_dict(),
-            "collector": collector,
-            "detector_history": list(detector.history),
-            "estimate": estimate,
-            "epochs": list(epochs),
-            "breakdown": dict(breakdown),
-            "current_strategy": current_strategy,
-            "cooldown": int(cooldown),
-            "replans": list(report.replans),
-            "faults": list(report.faults),
-            "strategy_by_epoch": list(report.strategy_by_epoch),
-            "cluster": cluster,
-            "timeline": trainer.ctx.timeline.state_dict(),
-            "recorder": recorder_state(trainer.ctx.recorder),
-            "sample_cache_keys": (
-                self.sample_cache.export_keys()
-                if self.sample_cache is not None
-                else []
-            ),
-        }
+        if run.replan and policy.replan:
+            new_plan = self._replan(cluster, self.config.strategies)
+            run.emit(
+                "elastic_replan",
+                epoch=epoch,
+                old=state.current_strategy,
+                chosen=new_plan.chosen,
+                switched=new_plan.chosen != state.current_strategy,
+            )
+            state.current_strategy = new_plan.chosen
+            state.estimate = new_plan.estimates[new_plan.chosen]
+            state.cooldown = self.config.replan_cooldown
 
     # ------------------------------------------------------------------ #
     def compare_all(

@@ -1,23 +1,20 @@
 """Epoch-granular run checkpoints for :class:`~repro.core.apt.APT`.
 
-:mod:`repro.tensor.checkpoint` persists a *model* (parameters + optimizer
-slots); this module persists a *run* — everything the APT epoch loop needs
-to continue bit-identically after the process dies mid-training:
+A checkpoint persists a *run*: the :class:`RunState` the APT epoch loop
+carries between epochs, pickled as one object, so the loop continues
+bit-identically after the process dies mid-training.  Its registers are
+the in-flight report parts (epoch results, breakdown, re-plan events,
+fault records, strategy-by-epoch), the adaptive-loop registers (current
+strategy, active cost estimate, drift detector, re-plan cooldown) and the
+clusters the live trainer and partition were built for.  A save adds
+snapshots of what lives outside the loop:
 
 * model parameters and optimizer state (moments, step count, lr);
 * the simulated :class:`~repro.cluster.timeline.Timeline` ledger and the
   :class:`~repro.engine.context.VolumeRecorder` accumulators of the live
   trainer (restored only when the resumed epoch's effective cluster equals
   the saved one — an uninterrupted run rebuilds both on cluster change);
-* the in-flight :class:`~repro.core.report.RunReport` parts (epoch
-  results, re-plan events, fault records, strategy-by-epoch) and the live
-  :class:`~repro.obs.telemetry.TelemetryCollector`;
-* the adaptive-loop registers (current strategy, active cost estimate,
-  drift history, re-plan cooldown);
-* the :class:`~repro.sampling.cache.SampleCache` entry keys (metadata:
-  the cache itself re-fills deterministically — entries are pure
-  functions of ``(sampler, seeds, epoch)`` — so keys are recorded for
-  observability, not restored).
+* the live :class:`~repro.obs.telemetry.TelemetryCollector`.
 
 Everything else the loop touches is a pure function of the config
 (counter-based sampler, per-epoch shuffle RNG, fault schedules, profiling
@@ -26,11 +23,11 @@ config snapshot *are* the RNG streams.
 
 Layout: each checkpoint is one directory ``<root>/epoch-NNNNNN/`` holding
 ``manifest.json`` (human-readable: version, epochs completed, config
-snapshot + digest) and ``state.pkl`` (the state above).  Writes go to a
-temp directory renamed into place, so a checkpoint either exists fully or
-not at all — a ``kill -9`` mid-save leaves the previous checkpoint as the
-latest valid one.  ``keep`` bounds disk use; the newest ``keep``
-checkpoints survive pruning.
+snapshot + digest) and ``state.pkl`` (the pickled :class:`RunState`).
+Writes go to a temp directory renamed into place, so a checkpoint either
+exists fully or not at all — a ``kill -9`` mid-save leaves the previous
+checkpoint as the latest valid one.  ``keep`` bounds disk use; the newest
+``keep`` checkpoints survive pruning.
 """
 
 from __future__ import annotations
@@ -40,20 +37,29 @@ import json
 import os
 import pickle
 import shutil
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from repro.obs.drift import DriftDetector
+
+if TYPE_CHECKING:
+    from repro.cluster.spec import ClusterSpec
+    from repro.core.costmodel import CostEstimate
+    from repro.core.report import ReplanEvent
+    from repro.engine.context import VolumeRecorder
+    from repro.obs.telemetry import TelemetryCollector
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointManager",
+    "RunState",
     "config_digest",
-    "recorder_state",
-    "restore_recorder",
     "state_digest",
 ]
 
-CHECKPOINT_VERSION = 1
+#: v2: ``state.pkl`` holds one pickled :class:`RunState` (v1 held a dict)
+CHECKPOINT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _STATE = "state.pkl"
@@ -111,78 +117,46 @@ def config_digest(config_dict: Dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# VolumeRecorder state transfer (in place — strategies may hold the
-# recorder through their context, so the object is never replaced)
-# ---------------------------------------------------------------------- #
-def recorder_state(recorder) -> Dict[str, Any]:
-    return {
-        "load_rows": [dict(rows) for rows in recorder.load_rows],
-        "hidden_bytes": recorder.hidden_bytes.copy(),
-        "structure_send_bytes": recorder.structure_send_bytes.copy(),
-        "n_dst": int(recorder.n_dst),
-        "n_virtual": int(recorder.n_virtual),
-        "shuffle_messages": recorder.shuffle_messages.copy(),
-        "disk_ranged_reads": recorder.disk_ranged_reads.copy(),
-        "peak_intermediate_bytes": recorder.peak_intermediate_bytes.copy(),
-        "layer1_flops": recorder.layer1_flops.copy(),
-        "relayout_bytes": recorder.relayout_bytes.copy(),
-        "relayout_layer_bytes": dict(recorder.relayout_layer_bytes),
-        "access_frequency": (
-            recorder.access_frequency.copy()
-            if recorder.access_frequency is not None
-            else None
-        ),
-    }
+@dataclass
+class RunState:
+    """The adaptive epoch loop's state, and the checkpoint payload.
+
+    The registers change in place as the loop runs; the report's
+    ``replans`` / ``faults`` / ``strategy_by_epoch`` are filled from them
+    once, at the end of the run.  The snapshot fields stay ``None`` on the
+    live state: a save fills them on the copy it pickles, and a resume
+    consumes them.
+    """
+
+    current_strategy: str
+    #: the cost estimate the drift detector compares epochs against
+    estimate: Optional[CostEstimate]
+    detector: DriftDetector
+    #: the cluster the live node->device partition was computed for
+    partition_cluster: ClusterSpec
+    #: the cluster the live trainer was built for (``None`` before epoch 0)
+    trainer_cluster: Optional[ClusterSpec] = None
+    cooldown: int = 0
+    epochs: list = field(default_factory=list)
+    breakdown: Dict[str, float] = field(default_factory=dict)
+    replans: List[ReplanEvent] = field(default_factory=list)
+    faults: List[Dict[str, Any]] = field(default_factory=list)
+    strategy_by_epoch: List[str] = field(default_factory=list)
+    # snapshots taken at save time
+    model: Optional[Dict[str, Any]] = None
+    optimizer: Optional[Dict[str, Any]] = None
+    timeline: Optional[Dict[str, Any]] = None
+    recorder: Optional[VolumeRecorder] = None
+    collector: Optional[TelemetryCollector] = None
 
 
-def restore_recorder(recorder, state: Dict[str, Any]) -> None:
-    if len(state["load_rows"]) != recorder.num_devices:
-        raise ValueError(
-            f"recorder state is for {len(state['load_rows'])} devices, "
-            f"this recorder has {recorder.num_devices}"
-        )
-    # Older checkpoints predate the disk tier: normalize missing per-tier
-    # keys to zero rather than rejecting the state.
-    from repro.featurestore.store import Tier
-
-    recorder.load_rows = [
-        {t: float(rows.get(t, 0.0)) for t in Tier} for rows in state["load_rows"]
-    ]
-    recorder.hidden_bytes[...] = state["hidden_bytes"]
-    recorder.structure_send_bytes[...] = state["structure_send_bytes"]
-    recorder.n_dst = int(state["n_dst"])
-    recorder.n_virtual = int(state["n_virtual"])
-    recorder.shuffle_messages[...] = state["shuffle_messages"]
-    if "disk_ranged_reads" in state:
-        recorder.disk_ranged_reads[...] = state["disk_ranged_reads"]
-    else:
-        recorder.disk_ranged_reads[...] = 0.0
-    recorder.peak_intermediate_bytes[...] = state["peak_intermediate_bytes"]
-    recorder.layer1_flops[...] = state["layer1_flops"]
-    # Older checkpoints predate layerwise re-layout accounting.
-    if "relayout_bytes" in state:
-        recorder.relayout_bytes[...] = state["relayout_bytes"]
-        recorder.relayout_layer_bytes = {
-            int(k): float(v) for k, v in state["relayout_layer_bytes"].items()
-        }
-    else:
-        recorder.relayout_bytes[...] = 0.0
-        recorder.relayout_layer_bytes = {}
-    recorder.access_frequency = (
-        state["access_frequency"].copy()
-        if state["access_frequency"] is not None
-        else None
-    )
-
-
-# ---------------------------------------------------------------------- #
 @dataclass
 class Checkpoint:
     """One loaded checkpoint: the JSON manifest + the pickled state."""
 
     path: str
     manifest: Dict[str, Any]
-    state: Dict[str, Any]
+    state: RunState
 
     @property
     def epochs_completed(self) -> int:
@@ -229,7 +203,7 @@ class CheckpointManager:
         epochs_completed: int,
         config_dict: Dict[str, Any],
         run_args: Dict[str, Any],
-        state: Dict[str, Any],
+        state: RunState,
     ) -> str:
         """Write one checkpoint atomically; returns its directory path.
 

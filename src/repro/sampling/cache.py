@@ -253,24 +253,6 @@ class SampleCache:
         """Bytes currently charged against the ``kind`` budget pool."""
         return self._kind_bytes[kind]
 
-    def export_keys(self) -> List[Tuple]:
-        """Stable snapshot of the live entry keys (checkpoint metadata).
-
-        The first key component, ``id(graph)``, is process-local, so it is
-        dropped; what remains — sampler type, fanouts, global seed, epoch,
-        seed-set digest (hex), budget pool — identifies each entry across
-        processes.  Entries themselves are never persisted: they are pure
-        functions of these keys and re-fill bit-identically on resume.
-        """
-        out: List[Tuple] = []
-        for key, entry in self._entries.items():
-            _, sampler_type, shape, seed, epoch, mode = key[:-1]
-            out.append(
-                (sampler_type, shape, int(seed), int(epoch), mode,
-                 key[-1].hex(), entry.kind)
-            )
-        return out
-
     def clear(self) -> None:
         self._entries.clear()
         self._scopes.clear()

@@ -102,9 +102,9 @@ class ServeEngine:
         self.checkpoint: Optional[Checkpoint] = None
         if checkpoint_dir is not None:
             self.checkpoint = CheckpointManager(checkpoint_dir).load()
-            apt.model.load_state_dict(self.checkpoint.state["model"])
+            apt.model.load_state_dict(self.checkpoint.state.model)
             if strategy is None:
-                strategy = str(self.checkpoint.state["current_strategy"])
+                strategy = self.checkpoint.state.current_strategy
 
         self.predicted: Optional[Dict[str, object]] = None
         if strategy is None:

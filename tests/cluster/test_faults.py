@@ -47,6 +47,12 @@ class TestFaultEvent:
         assert d0 == base.machines[0].device
         assert slow.num_devices == base.num_devices
 
+    @pytest.mark.parametrize("machine", [5, -1])
+    def test_straggler_out_of_range_raises(self, base, machine):
+        event = FaultEvent(epoch=0, kind="straggler", factor=0.5, machine=machine)
+        with pytest.raises(ValueError, match="straggler targets machine"):
+            event.apply(base, 0.5)
+
     def test_cache_shrink(self, base):
         small = FaultEvent(epoch=0, kind="cache_shrink", factor=0.25).apply(
             base, 0.25

@@ -43,13 +43,13 @@ class TestPrepare:
     def test_explicit_partition_array(self, ds):
         parts = metis_like_partition(ds.graph, 4, seed=9)
         apt = make_apt(ds)
-        apt.partition = parts
+        apt.config.partition = parts
         apt.prepare()
         np.testing.assert_array_equal(apt.parts, parts)
 
     def test_unknown_partition_mode(self, ds):
         apt = make_apt(ds)
-        apt.partition = "bogus"
+        apt.config.partition = "bogus"
         with pytest.raises(ValueError):
             apt.prepare()
 
